@@ -90,7 +90,7 @@ fn bench_candidate_enumeration(c: &mut Criterion) {
     for &n in &sizes() {
         let tree = build_churned_tree(n);
         group.bench_with_input(BenchmarkId::new("indexed", n), &tree, |b, tree| {
-            b.iter(|| black_box(tree.eviction_candidates().count()));
+            b.iter(|| black_box(tree.lru_candidates().count()));
         });
         group.bench_with_input(BenchmarkId::new("arena_scan", n), &tree, |b, tree| {
             // Pre-refactor: walk every arena slot and re-test child counts.
@@ -148,8 +148,8 @@ fn bench_victim_selection(c: &mut Criterion) {
         // scores per victim (min-max normalization forces the per-victim
         // rescan; the win is dropping the arena walk and the FLOP math).
         let pool: Vec<f64> = tree
-            .eviction_candidates()
-            .map(|id| fresh_score(tree, &model, id))
+            .lru_candidates()
+            .map(|(_, id)| fresh_score(tree, &model, id))
             .collect();
         let mut acc = 0.0;
         for _ in 0..VICTIMS {
@@ -327,7 +327,8 @@ impl Engine for ScanEvictTree {
         // the cache's scored pool loop before PR 8's LRU fast path).
         let id = self
             .0
-            .eviction_candidates()
+            .lru_candidates()
+            .map(|(_, id)| id)
             .min_by_key(|&id| (*self.0.data(id), id.index()))?;
         self.0.remove(id).ok().map(|_| id.index())
     }

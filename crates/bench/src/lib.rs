@@ -1,7 +1,7 @@
 //! Figure- and table-reproduction harness for the Marconi paper.
 //!
 //! Every table and figure in the paper's evaluation maps to one function
-//! here (see DESIGN.md's per-experiment index). The `figures` binary
+//! here (`figures -- list` prints the index). The `figures` binary
 //! dispatches to them:
 //!
 //! ```text
@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Each experiment prints the same rows/series the paper reports, so the
-//! output can be diffed against EXPERIMENTS.md. Everything is seeded and
+//! output can be diffed against the paper's. Everything is seeded and
 //! deterministic.
 //!
 //! The Criterion benches under `benches/` cover the *systems* costs

@@ -15,8 +15,6 @@ use marconi_trace::{
     CursorFallbackCause, Fingerprint, MissCause, MissLedger, PressureCause, StatCounters,
     TraceEvent, TraceTier, Tracer, VictimAction, VictimRecord,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Per-node cache metadata: edge KVs are implicit (the edge's tokens); the
@@ -189,6 +187,10 @@ pub struct HybridPrefixCache {
     /// (the parity tests' reference implementation).
     #[cfg(test)]
     use_scan_eviction: bool,
+    /// Route α = 0 episodes through the scored pool instead of the live
+    /// recency index (the reference the α = 0 path is compared against).
+    #[cfg(test)]
+    force_scored_pool: bool,
 }
 
 impl HybridPrefixCache {
@@ -883,31 +885,31 @@ impl HybridPrefixCache {
 
     /// Resolves memory pressure on both tiers.
     ///
-    /// Phase 1 (*device pressure*): while device usage exceeds the device
-    /// capacity, pick the lowest-utility device-resident candidate with the
-    /// existing victim machinery. With a host tier (`host_capacity > 0`)
-    /// the victim is **demoted** — its whole state moves to host DRAM, the
-    /// tree is untouched; without one (or for zero-byte structural nodes)
-    /// it is deleted exactly as before, so `host_capacity = 0` is
-    /// byte-identical to the single-tier cache.
+    /// Each round runs up to three episodes of
+    /// [`pressure_episode`](Self::pressure_episode):
     ///
-    /// Phase 2 (*host pressure*): while host usage exceeds the host budget,
-    /// the same victim machinery runs over the host-resident candidates and
-    /// **deletes** them (host is the last tier). Deleting a host-resident
-    /// intermediate node hands its edge to the absorbing child, re-homing
-    /// those KVs on the child's tier.
+    /// 1. *device pressure*: while device usage exceeds the device
+    ///    capacity, take the lowest-utility device-resident candidate. With
+    ///    a host tier (`host_capacity > 0`) the victim is **demoted** — its
+    ///    whole state moves to host DRAM, the tree is untouched; without
+    ///    one (or for zero-byte structural nodes) it is deleted, so
+    ///    `host_capacity = 0` is byte-identical to the single-tier cache;
+    /// 2. *device fallback* (host tier only): demotion can strand device
+    ///    bytes on 2+-child branch nodes, which never become candidates, so
+    ///    when the candidates drain with the device tier still over its
+    ///    (hard, physical) capacity, every unpinned byte-bearing device
+    ///    node is demoted by the same score until it fits;
+    /// 3. *host pressure*: while host usage exceeds the host budget, the
+    ///    host-resident candidates are **deleted** (host is the last tier).
+    ///    Deleting a host-resident intermediate node hands its edge to the
+    ///    absorbing child, re-homing those KVs on the child's tier.
     ///
-    /// The phases repeat until both tiers fit or neither can make progress
-    /// (a merge into a device child can push the device tier back over).
-    ///
-    /// Complexity contract (PR 2, per tier): one pressure episode costs
-    /// O(candidates) to build the victim pool — straight off the tree's
-    /// incremental candidate index, never an arena scan — plus O(pool) of
-    /// cheap memoized score reads per victim, with in-place pool repair.
+    /// Rounds repeat until both tiers fit or a round makes no progress (a
+    /// merge into a device child can push the device tier back over).
     /// Selection at `host_capacity = 0` is deterministically identical to
     /// re-collecting and re-scoring every candidate per victim (the
-    /// pre-refactor behavior); debug builds re-verify pool membership, memo
-    /// freshness, and tier accounting on every iteration.
+    /// test-only scan reference); debug builds re-verify pool membership,
+    /// memo freshness, and tier accounting on every victim.
     fn evict_until_fits(&mut self, report: &mut AdmissionReport) {
         #[cfg(test)]
         if self.use_scan_eviction {
@@ -918,8 +920,13 @@ impl HybridPrefixCache {
         self.assert_tier_accounting();
         loop {
             let work_before = self.stats.evictions + self.stats.demotions;
-            self.evict_device_pressure(report);
-            self.evict_host_pressure(report);
+            for cause in [
+                PressureCause::DeviceCapacity,
+                PressureCause::DeviceFallback,
+                PressureCause::HostCapacity,
+            ] {
+                self.pressure_episode(cause, report);
+            }
             let fits = self.usage() <= self.capacity && self.host_usage() <= self.host_capacity;
             if fits || self.stats.evictions + self.stats.demotions == work_before {
                 break;
@@ -927,176 +934,135 @@ impl HybridPrefixCache {
         }
     }
 
-    /// Collects the victim pool for one tier: eviction candidates resident
-    /// on `tier` (plus the leaf-only ablation filter), excluding nodes
-    /// protected by in-flight pins.
-    ///
-    /// Pinned nodes are *filtered out* here rather than removed from the
-    /// candidate index: removal would swap-reorder the index permanently,
-    /// so even a transient pin would perturb the pin-free victim order.
-    /// Filtering leaves the index untouched — with zero pins the pool is
-    /// byte-identical to the pre-pinning build.
-    ///
-    /// The pool is drawn from the recency index's `lru_candidates()`
-    /// (the PR 8 follow-on): one candidate source for every policy
-    /// family, already in ascending `(stamp, id)` order. The scored
-    /// pickers are pool-order-independent (strict total orders), so this
-    /// only unifies the plumbing; the debug scan assert keeps proving the
-    /// membership.
-    fn tier_pool(&self, tier: Tier) -> Vec<NodeId> {
-        let leaf_only = self.leaf_only_eviction;
+    /// `true` if `id` belongs in `tier`'s victim pool: an eviction
+    /// candidate of the tree (≤ 1 child, unpinned) resident on `tier`,
+    /// and a leaf under the leaf-only ablation.
+    fn in_tier_pool(&self, id: NodeId, tier: Tier) -> bool {
+        self.tree.is_eviction_candidate(id)
+            && self.tree.data(id).tier == tier
+            && (!self.leaf_only_eviction || self.tree.is_leaf(id))
+    }
+
+    /// `tier`'s victim pool in ascending `(stamp, id)` order, straight off
+    /// the tree's recency index — the one candidate source for every
+    /// policy family. Pinned nodes are not candidates, so nothing here
+    /// filters pins.
+    fn tier_pool(&self, tier: Tier) -> impl Iterator<Item = NodeId> + '_ {
         self.tree
             .lru_candidates()
             .map(|(_, id)| id)
-            .filter(|&id| self.tree.data(id).tier == tier)
-            .filter(|&id| !leaf_only || self.tree.is_leaf(id))
-            .filter(|&id| !self.tree.is_pinned(id))
-            .collect()
+            .filter(move |&id| self.in_tier_pool(id, tier))
     }
 
-    /// Phase 1: demote (or, single-tier, delete) device-resident victims
-    /// until device usage fits.
+    /// One pressure episode: victims are taken until the episode's tier
+    /// fits or no victim is left, each demoted (device tier with a host
+    /// tier, byte-bearing victim) or deleted.
     ///
-    /// Demotion of the ≤ 1-child candidates can strand device bytes:
-    /// a branch node whose children were all *demoted* (not deleted) keeps
-    /// its 2+ children forever, never enters the candidate pool, and its
-    /// edge KVs pin the device tier. Deletion never had this problem
-    /// (removing leaves cascaded candidacy up). Demotion, however — unlike
-    /// deletion — is structurally safe for *any* node, so when the
-    /// candidate pool drains with the device tier still over its (hard,
-    /// physical) capacity, a fallback pass demotes the remaining
-    /// device-resident nodes by the same score until it fits.
-    fn evict_device_pressure(&mut self, report: &mut AdmissionReport) {
-        if self.usage() <= self.capacity || self.tree.is_empty() {
+    /// Where victims come from:
+    ///
+    /// * **α = 0** ([`lru_fast_path`](Self::lru_fast_path)): the first
+    ///   entry of the live recency index in the tier's pool. Stamps and
+    ///   pins do not move during an episode, and the index re-syncs on
+    ///   every deletion, so this is exactly the `(last_access, id)`
+    ///   minimum the scored picker would choose; debug builds re-check
+    ///   every pick against it.
+    /// * **Scored policies**: the tier's pool, collected once and
+    ///   re-scored per victim from memoized costs, repaired in place when
+    ///   a deletion makes a parent eligible — re-reading the index per
+    ///   victim would cost O(candidates) per victim.
+    /// * **Device fallback**: every unpinned byte-bearing device node,
+    ///   candidate or not, scored the same way. An O(arena) scan, only
+    ///   reachable with a host tier (single-tier deletion always cascades
+    ///   down to fit), so it never touches the parity path.
+    fn pressure_episode(&mut self, cause: PressureCause, report: &mut AdmissionReport) {
+        let tier = match cause {
+            PressureCause::HostCapacity => Tier::Host,
+            PressureCause::DeviceCapacity | PressureCause::DeviceFallback => Tier::Device,
+        };
+        let over = |c: &Self| match tier {
+            Tier::Device => c.usage() > c.capacity,
+            Tier::Host => c.host_usage() > c.host_capacity,
+        };
+        let fallback = cause == PressureCause::DeviceFallback;
+        if !over(self) || self.tree.is_empty() || (fallback && self.host_capacity == 0) {
             return;
         }
-        if self.lru_fast_path() {
-            self.lru_tier_pressure(Tier::Device, report);
+        let mut pool: Option<Vec<NodeId>> = if fallback {
+            Some(
+                self.tree
+                    .node_ids()
+                    .filter(|&id| self.tree.data(id).tier == Tier::Device)
+                    .filter(|&id| self.node_bytes(id) > 0 && !self.tree.is_pinned(id))
+                    .collect(),
+            )
+        } else if self.lru_fast_path() {
+            None
         } else {
-            self.scored_tier_pressure(Tier::Device, report);
-        }
-        // Fallback: the candidate pool drained but non-candidate (2+
-        // child) device nodes still hold bytes. Only reachable with a host
-        // tier (single-tier deletion always cascades down to fit), so the
-        // O(arena) scan never touches the parity path.
-        if self.host_capacity > 0 && self.usage() > self.capacity {
-            let mut rest: Vec<NodeId> = self
-                .tree
-                .node_ids()
-                .filter(|&id| self.tree.data(id).tier == Tier::Device && self.node_bytes(id) > 0)
-                .filter(|&id| !self.tree.is_pinned(id))
-                .collect();
-            let mut scored: Vec<Candidate<NodeId>> = Vec::with_capacity(rest.len());
-            let pool_len = rest.len();
-            let mut episode: Option<Vec<VictimRecord>> = self.tracer.is_enabled().then(Vec::new);
-            while self.usage() > self.capacity {
-                let Some(i) = self.pick_from_pool(&rest, &mut scored) else {
-                    break;
-                };
-                let victim = rest.swap_remove(i);
-                if let Some(ep) = episode.as_mut() {
-                    ep.push(self.victim_record(victim, VictimAction::Demoted));
+            Some(self.tier_pool(tier).collect())
+        };
+        // Traced episodes report the eligible pool at episode start.
+        let mut episode: Option<(usize, Vec<VictimRecord>)> = self.tracer.is_enabled().then(|| {
+            let pool_len = pool
+                .as_ref()
+                .map_or_else(|| self.tier_pool(tier).count(), Vec::len);
+            (pool_len, Vec::new())
+        });
+        let mut scored: Vec<Candidate<NodeId>> = Vec::new();
+        while over(self) {
+            let victim = match pool.as_mut() {
+                None => self.tier_pool(tier).next(),
+                Some(pool) => {
+                    #[cfg(debug_assertions)]
+                    if !fallback {
+                        self.assert_pool_matches_scan(pool, tier);
+                    }
+                    self.pick_from_pool(pool, &mut scored)
+                        .map(|i| pool.swap_remove(i))
                 }
-                self.demote_victim(victim, report);
-            }
-            if let Some(victims) = episode {
-                self.emit_episode(
-                    self.clock,
-                    Tier::Device,
-                    PressureCause::DeviceFallback,
-                    pool_len,
-                    victims,
-                );
-            }
-            // In-flight pins are the one legitimate way the fallback can
-            // come up short: pinned bytes are unreclaimable until their
-            // requests complete, so the device tier spills over its budget
-            // rather than corrupting an in-flight path (graceful
-            // admit-while-over-budget, not a livelock — the caller's
-            // no-progress check terminates the episode).
-            debug_assert!(
-                self.usage() <= self.capacity
-                    || self
-                        .tree
-                        .pinned_ids()
-                        .any(|id| self.tree.data(id).tier == Tier::Device),
-                "every unpinned device byte is demotable, so the fallback must fit"
-            );
-        }
-    }
-
-    /// Phase 2: delete host-resident victims until host usage fits the
-    /// host budget. Host is the last tier, so pressure here means deletion
-    /// — same candidate set, same scoring, same pool repair as the device
-    /// phase. Host-resident nodes that grew extra children since demotion
-    /// are not candidates (deleting a shared prefix is structurally
-    /// impossible); when only those remain the pool drains and the host
-    /// tier stays (softly) over budget until their descendants go.
-    fn evict_host_pressure(&mut self, report: &mut AdmissionReport) {
-        if self.host_usage() <= self.host_capacity || self.tree.is_empty() {
-            return;
-        }
-        if self.lru_fast_path() {
-            self.lru_tier_pressure(Tier::Host, report);
-        } else {
-            self.scored_tier_pressure(Tier::Host, report);
-        }
-    }
-
-    /// One pressure episode for `tier` through the scored victim pool: the
-    /// PR 2 machinery — build the tier's pool once, re-score it per victim
-    /// with memoized cost reads, repair it in place. Device episodes
-    /// demote byte-bearing victims when a host tier exists; host episodes
-    /// (the last tier) always delete.
-    ///
-    /// Since PR 9 the pool is snapshotted off the tree's O(log n) recency
-    /// index ([`tier_pool`](Self::tier_pool) iterates `lru_candidates()`),
-    /// the same source the LRU fast path consumes — victim choice is
-    /// independent of pool ordering (strict `(score, last_access, id)` /
-    /// GDSF total orders), so selection is byte-identical to the old
-    /// `eviction_candidates()` sourcing, and the debug pool-vs-scan assert
-    /// still re-proves the membership every iteration.
-    fn scored_tier_pressure(&mut self, tier: Tier, report: &mut AdmissionReport) {
-        let mut pool = self.tier_pool(tier);
-        let mut scored: Vec<Candidate<NodeId>> = Vec::with_capacity(pool.len());
-        let pool_len = pool.len();
-        let mut episode: Option<Vec<VictimRecord>> = self.tracer.is_enabled().then(Vec::new);
-        loop {
-            let pressing = match tier {
-                Tier::Device => self.usage() > self.capacity && !self.tree.is_empty(),
-                Tier::Host => self.host_usage() > self.host_capacity && !pool.is_empty(),
             };
-            if !pressing {
+            let Some(victim) = victim else {
                 break;
-            }
+            };
             #[cfg(debug_assertions)]
-            self.assert_pool_matches_scan(&pool, tier);
-            let Some(i) = self.pick_from_pool(&pool, &mut scored) else {
-                break;
-            };
-            let victim = pool.swap_remove(i);
+            if pool.is_none() {
+                self.assert_lru_victim_matches_scored_pick(victim, tier);
+            }
             // Tiered mode: demote everything that actually moves bytes;
             // zero-byte structural nodes (no checkpoint, zero-width KVs)
             // still merge away so the loop always progresses.
-            if tier == Tier::Device && self.host_capacity > 0 && self.node_bytes(victim) > 0 {
-                if let Some(ep) = episode.as_mut() {
-                    ep.push(self.victim_record(victim, VictimAction::Demoted));
-                }
+            let demote =
+                tier == Tier::Device && self.host_capacity > 0 && self.node_bytes(victim) > 0;
+            if let Some((_, victims)) = episode.as_mut() {
+                let action = if demote {
+                    VictimAction::Demoted
+                } else {
+                    VictimAction::Evicted
+                };
+                victims.push(self.victim_record(victim, action));
+            }
+            if demote {
                 self.demote_victim(victim, report);
-                continue;
+            } else {
+                self.delete_victim(victim, pool.as_mut(), report, tier);
             }
-            if let Some(ep) = episode.as_mut() {
-                ep.push(self.victim_record(victim, VictimAction::Evicted));
-            }
-            self.delete_victim(victim, &mut pool, report, tier);
         }
-        if let Some(victims) = episode {
-            let cause = match tier {
-                Tier::Device => PressureCause::DeviceCapacity,
-                Tier::Host => PressureCause::HostCapacity,
-            };
+        if let Some((pool_len, victims)) = episode {
             self.emit_episode(self.clock, tier, cause, pool_len, victims);
         }
+        // In-flight pins are the one legitimate way the fallback can come
+        // up short: pinned bytes are unreclaimable until their requests
+        // complete, so the device tier spills over its budget rather than
+        // corrupting an in-flight path (graceful admit-while-over-budget,
+        // not a livelock — the caller's no-progress check ends the round).
+        debug_assert!(
+            !fallback
+                || !over(self)
+                || self
+                    .tree
+                    .node_ids()
+                    .any(|id| self.tree.is_pinned(id) && self.tree.data(id).tier == Tier::Device),
+            "every unpinned device byte is demotable, so the fallback must fit"
+        );
     }
 
     /// `true` when victim selection collapses to pure LRU — a non-GDSF
@@ -1104,119 +1070,21 @@ impl HybridPrefixCache {
     /// `α = 0`; AutoTuned until the tuner decides on a nonzero α). Under
     /// that collapse [`pick_victim_index`] reduces to the minimum of
     /// `(last_access, id)`, which is exactly the ascending key order of the
-    /// tree's recency index, so the O(log n) episode in
-    /// [`lru_tier_pressure`](Self::lru_tier_pressure) picks byte-identical
-    /// victims without building or re-scoring a pool.
+    /// tree's recency index, so [`pressure_episode`](Self::pressure_episode)
+    /// reads victims straight off it without building or re-scoring a pool.
     fn lru_fast_path(&self) -> bool {
+        #[cfg(test)]
+        if self.force_scored_pool {
+            return false;
+        }
         !matches!(self.policy, EvictionPolicy::Gdsf) && self.effective_alpha == 0.0
-    }
-
-    /// One pressure episode for `tier` on the LRU fast path: victims come
-    /// straight off the tree's O(log n) recency index instead of a
-    /// re-scored pool, in provably the same order as
-    /// [`pick_from_pool`](Self::pick_from_pool) (see
-    /// [`lru_fast_path`](Self::lru_fast_path); debug builds re-check every
-    /// pick against the scored reference).
-    ///
-    /// The episode snapshots the index's `(stamp, id)` entries once, then
-    /// merges in parents promoted to candidacy by mid-episode deletions
-    /// through a min-heap keyed the same way. Entries the episode itself
-    /// invalidates (deleted nodes, demoted nodes, duplicates of a
-    /// heap-promoted parent under leaf-only ablation) are rejected at
-    /// consumption time by re-checking liveness, stamp, child count, tier,
-    /// leaf status, and pins against the live tree — the same predicates
-    /// [`tier_pool`](Self::tier_pool) builds from.
-    fn lru_tier_pressure(&mut self, tier: Tier, report: &mut AdmissionReport) {
-        let over = |c: &Self| match tier {
-            Tier::Device => c.usage() > c.capacity,
-            Tier::Host => c.host_usage() > c.host_capacity,
-        };
-        let snapshot: Vec<(u64, NodeId)> = self.tree.lru_candidates().collect();
-        let mut cursor = 0usize;
-        let mut promoted: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
-        let mut sink: Vec<NodeId> = Vec::new();
-        let pool_len = snapshot.len();
-        let mut episode: Option<Vec<VictimRecord>> = self.tracer.is_enabled().then(Vec::new);
-        while over(self) && !self.tree.is_empty() {
-            let victim = loop {
-                // Next entry in global (stamp, id) order across the
-                // snapshot and the promoted parents.
-                let snap = snapshot.get(cursor).copied();
-                let prom = promoted.peek().map(|r| r.0);
-                let (stamp, id) = match (snap, prom) {
-                    (None, None) => break None,
-                    (Some(s), None) => {
-                        cursor += 1;
-                        s
-                    }
-                    (None, Some(p)) => {
-                        promoted.pop();
-                        p
-                    }
-                    (Some(s), Some(p)) => {
-                        if s <= p {
-                            cursor += 1;
-                            s
-                        } else {
-                            promoted.pop();
-                            p
-                        }
-                    }
-                };
-                // Consumption-time staleness filters (tier_pool's
-                // predicates, re-evaluated against the live tree).
-                if !self.tree.contains(id) || self.tree.stamp(id) != stamp {
-                    continue;
-                }
-                if self.tree.child_count(id) > 1 || self.tree.data(id).tier != tier {
-                    continue;
-                }
-                if self.leaf_only_eviction && !self.tree.is_leaf(id) {
-                    continue;
-                }
-                if self.tree.is_pinned(id) {
-                    continue;
-                }
-                break Some(id);
-            };
-            let Some(victim) = victim else {
-                break;
-            };
-            #[cfg(debug_assertions)]
-            self.assert_lru_victim_matches_scored_pick(victim, tier);
-            if tier == Tier::Device && self.host_capacity > 0 && self.node_bytes(victim) > 0 {
-                if let Some(ep) = episode.as_mut() {
-                    ep.push(self.victim_record(victim, VictimAction::Demoted));
-                }
-                self.demote_victim(victim, report);
-                continue;
-            }
-            if let Some(ep) = episode.as_mut() {
-                ep.push(self.victim_record(victim, VictimAction::Evicted));
-            }
-            // delete_victim pushes any parent that just became eligible
-            // for this tier's pool into `sink` — exactly the entries the
-            // scored loop would append — and they re-enter the merged
-            // stream through the heap at their current stamp.
-            self.delete_victim(victim, &mut sink, report, tier);
-            for parent in sink.drain(..) {
-                promoted.push(Reverse((self.tree.stamp(parent), parent)));
-            }
-        }
-        if let Some(victims) = episode {
-            let cause = match tier {
-                Tier::Device => PressureCause::DeviceCapacity,
-                Tier::Host => PressureCause::HostCapacity,
-            };
-            self.emit_episode(self.clock, tier, cause, pool_len, victims);
-        }
     }
 
     /// Debug-only: the fast-path victim must equal what the scored pool
     /// loop would have picked at this exact cache state.
     #[cfg(debug_assertions)]
     fn assert_lru_victim_matches_scored_pick(&mut self, victim: NodeId, tier: Tier) {
-        let pool = self.tier_pool(tier);
+        let pool: Vec<NodeId> = self.tier_pool(tier).collect();
         self.assert_pool_matches_scan(&pool, tier);
         let mut scored = Vec::with_capacity(pool.len());
         let want = self
@@ -1239,17 +1107,16 @@ impl HybridPrefixCache {
         report.bytes_demoted += moved;
     }
 
-    /// Deletes `victim` from `tier`: removes it from the tree, repairs the
-    /// live `pool` (a leaf victim's parent may become a same-tier
-    /// candidate; a merge victim changes no candidacies — its child keeps
-    /// its own children and simply absorbs the edge), updates the
-    /// cross-tier accounting, and books the eviction. The one deletion
-    /// body both pressure phases share, so their victim handling can never
-    /// drift.
+    /// Deletes `victim` from `tier`: removes it from the tree, repairs a
+    /// materialized `pool` (a leaf victim's parent may join the tier's
+    /// pool; a merge victim changes no candidacies — its child keeps its
+    /// own children and simply absorbs the edge), updates the cross-tier
+    /// accounting, and books the eviction. The α = 0 path passes no pool:
+    /// the tree's recency index repairs itself.
     fn delete_victim(
         &mut self,
         victim: NodeId,
-        pool: &mut Vec<NodeId>,
+        pool: Option<&mut Vec<NodeId>>,
         report: &mut AdmissionReport,
         tier: Tier,
     ) {
@@ -1282,7 +1149,7 @@ impl HybridPrefixCache {
             .tree
             .parent(victim)
             .expect("invariant: eviction victims are non-root");
-        let parent_children_before = self.tree.child_count(parent);
+        let parent_was_pooled = pool.is_some() && self.in_tier_pool(parent, tier);
         let removed = self
             .tree
             .remove(victim)
@@ -1296,14 +1163,8 @@ impl HybridPrefixCache {
                 merged_into: child.index() as u64,
             });
         }
-        if removed.merged_into.is_none() && parent != self.tree.root() {
-            let newly_eligible = if self.leaf_only_eviction {
-                parent_children_before == 1
-            } else {
-                parent_children_before == 2
-            };
-            if newly_eligible && self.tree.data(parent).tier == tier && !self.tree.is_pinned(parent)
-            {
+        if let Some(pool) = pool {
+            if !parent_was_pooled && self.in_tier_pool(parent, tier) {
                 pool.push(parent);
             }
         }
@@ -1626,6 +1487,8 @@ impl HybridPrefixCache {
             eviction_log: Vec::new(),
             #[cfg(test)]
             use_scan_eviction: self.use_scan_eviction,
+            #[cfg(test)]
+            force_scored_pool: self.force_scored_pool,
         }
     }
 }
@@ -2019,8 +1882,13 @@ impl PrefixCache for HybridPrefixCache {
         }
     }
 
+    /// O(arena) diagnostic: a scan of the pinned nodes' bytes.
     fn pinned_bytes(&self) -> u64 {
-        self.tree.pinned_ids().map(|id| self.node_bytes(id)).sum()
+        self.tree
+            .node_ids()
+            .filter(|&id| self.tree.is_pinned(id))
+            .map(|id| self.node_bytes(id))
+            .sum()
     }
 }
 
@@ -2183,6 +2051,8 @@ impl HybridPrefixCacheBuilder {
             eviction_log: Vec::new(),
             #[cfg(test)]
             use_scan_eviction: false,
+            #[cfg(test)]
+            force_scored_pool: false,
         }
     }
 }
@@ -3041,6 +2911,71 @@ mod tests {
         );
     }
 
+    /// Every traced episode reports the tier's eligible pool at episode
+    /// start. On a seeded two-tier trace with pins held across admission,
+    /// the α = 0 path (first eligible entry of the live recency index) and
+    /// the scored pool forced at α = 0 must take the same victims and
+    /// emit identical episodes — `pool_len` included, which the scored
+    /// pool counts directly.
+    #[test]
+    fn episode_pool_len_is_the_tiers_eligible_pool_at_episode_start() {
+        use marconi_trace::{RingRecorder, Tracer};
+        use marconi_workload::{DatasetKind, TraceGenerator};
+        let m = ModelConfig::hybrid_7b();
+        let capacity = 9000 * m.kv_bytes_per_token();
+        let trace = TraceGenerator::new(DatasetKind::Lmsys)
+            .sessions(12)
+            .seed(7)
+            .generate();
+        let run = |scored_pool: bool| {
+            let mut c = HybridPrefixCache::builder(m.clone())
+                .capacity_bytes(capacity)
+                .host_capacity_bytes(capacity / 2)
+                .policy(EvictionPolicy::Lru)
+                .build();
+            c.force_scored_pool = scored_pool;
+            let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
+            c.set_tracer(tracer);
+            for r in &trace.requests {
+                c.lookup_at(&r.input, r.arrival);
+                let ticket = c.pin_prefix(&r.input);
+                c.insert_at(&r.input, &r.output, r.arrival);
+                c.unpin(ticket);
+            }
+            let episodes: Vec<TraceEvent> = recorder
+                .lock()
+                .expect("lock: test-local recorder")
+                .events()
+                .filter(|e| e.event.kind() == "eviction-episode")
+                .map(|e| e.event.clone())
+                .collect();
+            (c, episodes)
+        };
+        let (live, live_episodes) = run(false);
+        let (scored, scored_episodes) = run(true);
+        assert_eq!(live.eviction_log, scored.eviction_log);
+        assert_eq!(live.stats, scored.stats);
+        assert_eq!(live_episodes, scored_episodes);
+        let mut tiers = Vec::new();
+        for e in &live_episodes {
+            let TraceEvent::EvictionEpisode {
+                tier,
+                pool_len,
+                victims,
+                ..
+            } = e
+            else {
+                unreachable!("filtered to eviction episodes");
+            };
+            assert!(*pool_len >= victims.len() as u64, "{e:?}");
+            tiers.push(*tier);
+        }
+        assert!(
+            tiers.contains(&TraceTier::Device) && tiers.contains(&TraceTier::Host),
+            "the trace must press both tiers"
+        );
+    }
+
     // ------------------------------------------------------------------
     // PR 8 stress: split/merge-heavy multi-tenant replay parity at scale.
     // The single-tier parity contract above, pushed through traces that
@@ -3773,9 +3708,13 @@ mod tests {
         let ta = c.pin_prefix(&resume_a);
         let tb = c.pin_prefix(&resume_b);
         assert!(
-            c.tree.eviction_candidates().all(|id| c.tree.is_pinned(id)),
-            "the shape under test: every eviction candidate is pinned"
+            c.tree
+                .node_ids()
+                .filter(|&id| c.tree.child_count(id) <= 1)
+                .all(|id| c.tree.is_pinned(id)),
+            "the shape under test: every ≤ 1-child node is pinned"
         );
+        assert_eq!(c.tree.lru_candidates().count(), 0);
 
         // 10× the byte budget, branching off A's pinned edge so admission
         // also checkpoints a branch SSM state *inside* the pinned chain.

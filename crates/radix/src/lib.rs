@@ -14,10 +14,11 @@
 //!   (§4.1): report, without mutating, whether inserting a sequence would
 //!   create a new intermediate node (a branch point whose SSM state is worth
 //!   checkpointing during prefill).
-//! * [`RadixTree::eviction_candidates`] — nodes with ≤ 1 child (§4.3),
-//!   because multi-child nodes represent hot shared prefixes. The set is
-//!   maintained incrementally (O(1) per mutation), so enumerating it costs
-//!   O(candidates) rather than O(arena), and
+//! * [`RadixTree::lru_candidates`] — unpinned nodes with ≤ 1 child
+//!   (§4.3), because multi-child nodes represent hot shared prefixes and
+//!   pinned ones are being read by in-flight requests. The set is one
+//!   recency index maintained incrementally (O(log n) per mutation), so
+//!   enumerating it costs O(candidates) rather than O(arena), and
 //!   [`RadixTree::structure_version`] lets callers memoize per-node derived
 //!   costs with O(1) staleness checks.
 //! * [`RadixTree::remove`] — eviction with edge merging: removing an
@@ -61,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod index;
 mod node;
 mod recency;
 mod tree;

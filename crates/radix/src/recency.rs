@@ -5,10 +5,10 @@
 //! Re-deriving that minimum by scanning the candidate set costs
 //! O(candidates) per victim; this index keeps the candidates ordered by
 //! `(stamp, id)` in a `BTreeSet`, so the current minimum is O(log n) to
-//! maintain and O(1) to read. The tree updates it on exactly the same
-//! events that maintain the candidate index — candidate entry/exit and
-//! [`RadixTree::touch`](crate::RadixTree::touch) — so membership always
-//! mirrors [`RadixTree::eviction_candidates`](crate::RadixTree).
+//! maintain and O(1) to read. It is the tree's only candidate set: the
+//! tree re-syncs a node whenever its child count or pin count can flip
+//! [`RadixTree::is_eviction_candidate`](crate::RadixTree::is_eviction_candidate),
+//! and re-keys it on [`RadixTree::touch`](crate::RadixTree::touch).
 
 use crate::node::NodeId;
 use std::collections::BTreeSet;
@@ -20,16 +20,14 @@ pub(crate) struct RecencyIndex {
 }
 
 impl RecencyIndex {
-    /// Adds an entry. The caller guarantees `(stamp, id)` is not present.
+    /// Adds an entry; no-op if present.
     pub fn insert(&mut self, stamp: u64, id: NodeId) {
-        let fresh = self.set.insert((stamp, id));
-        debug_assert!(fresh, "recency entry for {id} already present");
+        self.set.insert((stamp, id));
     }
 
-    /// Removes an entry. The caller guarantees `(stamp, id)` is present.
+    /// Removes an entry; no-op if absent.
     pub fn remove(&mut self, stamp: u64, id: NodeId) {
-        let existed = self.set.remove(&(stamp, id));
-        debug_assert!(existed, "recency entry for {id} was absent");
+        self.set.remove(&(stamp, id));
     }
 
     /// `true` if the exact `(stamp, id)` entry is present.
@@ -37,7 +35,7 @@ impl RecencyIndex {
         self.set.contains(&(stamp, id))
     }
 
-    /// Number of entries (equals the candidate count by construction).
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.set.len()
     }

@@ -9,11 +9,11 @@
 //!   ascending first-token order, no per-node `BTreeMap` allocations);
 //! * edge labels are `(offset, len)` slices into one shared append-only
 //!   token store, so splitting an edge is O(1) offset arithmetic;
-//! * eviction candidates are mirrored into an O(log n) recency index
-//!   keyed by caller-supplied stamps ([`RadixTree::touch`]), so LRU-style
-//!   victim selection needs no linear scans.
+//! * eviction candidates live in one O(log n) recency index keyed by
+//!   caller-supplied stamps ([`RadixTree::touch`]), so LRU-style victim
+//!   selection needs no linear scans; a pin takes a node out of it and the
+//!   last unpin puts it back.
 
-use crate::index::CandidateIndex;
 use crate::node::{ChildSet, EdgeRef, Node, NodeId, Slot};
 use crate::recency::RecencyIndex;
 use crate::Token;
@@ -32,17 +32,16 @@ use std::fmt;
 /// 3. `depth(n) = depth(parent(n)) + edge_len(n)`;
 /// 4. [`token_count`](RadixTree::token_count) equals the sum of all edge
 ///    lengths, which equals the number of distinct prefixes stored.
-/// 5. [`eviction_candidates`](RadixTree::eviction_candidates) iterates an
-///    incrementally-maintained index whose membership always equals
-///    `{ live non-root n | child_count(n) ≤ 1 }`.
-/// 6. [`pinned_ids`](RadixTree::pinned_ids) iterates an
-///    incrementally-maintained index whose membership always equals
-///    `{ live non-root n | pin_count(n) > 0 }`, and a non-root parent's
+/// 5. [`lru_candidates`](RadixTree::lru_candidates) iterates the one
+///    candidate set: a recency index whose membership always equals
+///    `{ live non-root n | child_count(n) ≤ 1 ∧ pin_count(n) = 0 }`
+///    ([`is_eviction_candidate`](RadixTree::is_eviction_candidate)).
+/// 6. Each member appears exactly once, as `(stamp, id)` with `stamp` the
+///    node's current [`touch`](RadixTree::touch) stamp, so iteration is
+///    ascending `(stamp, id)` order.
+/// 7. [`pinned_count`](RadixTree::pinned_count) equals
+///    `|{ live non-root n | pin_count(n) > 0 }|`, and a non-root parent's
 ///    pin count is at least each child's (counts are subtree-inclusive).
-/// 7. [`lru_candidates`](RadixTree::lru_candidates) iterates a recency
-///    index holding exactly one `(stamp, id)` entry per eviction
-///    candidate, where `stamp` is the node's current
-///    [`touch`](RadixTree::touch) stamp.
 ///
 /// The token store is append-only: splits reference it in place, and edge
 /// merges reuse contiguous ranges (the split-then-evict hot path), copying
@@ -57,17 +56,15 @@ pub struct RadixTree<D> {
     free_head: Option<u32>,
     node_count: usize,
     token_count: u64,
-    /// Incremental eviction-candidate set (nodes with ≤ 1 child), kept in
-    /// sync by `insert`/`split_edge`/`remove` so the eviction hot path never
-    /// re-scans the arena.
-    candidates: CandidateIndex,
-    /// Incremental protected set: nodes with `pin_count > 0`. Kept
-    /// *separate* from `candidates` — pinning must not perturb the
-    /// candidate index's internal order, so the pin-free operation history
-    /// stays byte-identical whether or not pins ever happened.
-    pinned: CandidateIndex,
-    /// Candidates ordered by `(stamp, id)`; mirrors `candidates` exactly.
+    /// The eviction-candidate set, ordered by `(stamp, id)`. Every
+    /// mutation that can flip a node's
+    /// [`is_eviction_candidate`](RadixTree::is_eviction_candidate) re-syncs
+    /// that node, so the eviction hot path never re-scans the arena. The
+    /// set is ordered, so a pin removing a node and its unpin re-inserting
+    /// it at the same stamp leave the pin-free iteration order untouched.
     lru: RecencyIndex,
+    /// Number of live nodes with `pin_count > 0`.
+    pinned: usize,
     /// Fault-injection knob for the differential harness's self-test: when
     /// set, edge splits cut one token too deep. Never enabled outside
     /// tests.
@@ -267,9 +264,8 @@ impl<D: Default> RadixTree<D> {
             free_head: None,
             node_count: 0,
             token_count: 0,
-            candidates: CandidateIndex::default(),
-            pinned: CandidateIndex::default(),
             lru: RecencyIndex::default(),
+            pinned: 0,
             split_off_by_one: false,
         }
     }
@@ -400,7 +396,7 @@ impl<D: Default> RadixTree<D> {
                         // it (freed bytes) are stale.
                         self.node_mut(cur).version += 1;
                     }
-                    self.candidate_add(leaf);
+                    self.sync_candidate(leaf);
                     self.sync_candidate(cur);
                     self.token_count += added;
                     return InsertOutcome {
@@ -523,7 +519,7 @@ impl<D: Default> RadixTree<D> {
             data: D::default(),
         });
         if inherited_pins > 0 {
-            self.pinned.insert(mid);
+            self.pinned += 1;
         }
         {
             let c = self.node_mut(child);
@@ -536,8 +532,9 @@ impl<D: Default> RadixTree<D> {
         let first = self.store[head.off as usize];
         self.node_mut(parent).children.insert(first, mid);
         // `mid` replaces `child` under `parent`, so the parent's child count
-        // (and candidacy) is unchanged; `mid` itself has exactly one child.
-        self.candidate_add(mid);
+        // (and candidacy) is unchanged; `mid` itself has exactly one child
+        // and is a candidate unless it inherited pins.
+        self.sync_candidate(mid);
         // Splitting moves tokens between edges without adding any, so
         // token_count is untouched; alloc() already counted the new node.
         mid
@@ -566,34 +563,15 @@ impl<D> RadixTree<D> {
         }
     }
 
-    /// Adds `id` to the candidate index, mirroring it into the recency
-    /// index iff membership actually changed.
-    fn candidate_add(&mut self, id: NodeId) {
-        let stamp = self.node(id).stamp;
-        if self.candidates.insert(id) {
-            self.lru.insert(stamp, id);
-        }
-    }
-
-    /// Removes `id` from the candidate index, mirroring the recency index
-    /// iff membership actually changed.
-    fn candidate_drop(&mut self, id: NodeId) {
-        let stamp = self.node(id).stamp;
-        if self.candidates.remove(id) {
-            self.lru.remove(stamp, id);
-        }
-    }
-
-    /// Re-derives `id`'s candidate-index membership from its current child
-    /// count. O(log candidates); idempotent; the root is never a candidate.
+    /// Re-derives `id`'s recency-index membership from
+    /// [`is_eviction_candidate`](RadixTree::is_eviction_candidate), at the
+    /// node's stored stamp. O(log candidates); idempotent.
     fn sync_candidate(&mut self, id: NodeId) {
-        if id == NodeId::ROOT {
-            return;
-        }
-        if self.node(id).children.len() <= 1 {
-            self.candidate_add(id);
+        let stamp = self.node(id).stamp;
+        if self.is_eviction_candidate(id) {
+            self.lru.insert(stamp, id);
         } else {
-            self.candidate_drop(id);
+            self.lru.remove(stamp, id);
         }
     }
 
@@ -784,24 +762,27 @@ impl<D> RadixTree<D> {
             })
     }
 
-    /// Nodes eligible for eviction: live non-root nodes with ≤ 1 child.
+    /// `true` if the node may be evicted: a live non-root node with ≤ 1
+    /// child and no in-flight [`pin`](RadixTree::pin). The one membership
+    /// predicate of the candidate set
+    /// [`lru_candidates`](RadixTree::lru_candidates) iterates.
     ///
     /// Nodes with multiple children are common prefixes shared by multiple
     /// requests and are not evicted directly (paper §4.3); they become
-    /// candidates once their descendants are gone.
-    ///
-    /// Served from an incrementally-maintained index, so iterating costs
-    /// O(candidates) — not O(arena slots) — regardless of how much the
-    /// arena has churned. Iteration order is unspecified but deterministic
-    /// (a pure function of the tree's operation history).
-    pub fn eviction_candidates(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.candidates.iter()
+    /// candidates once their descendants are gone. A dead id is never a
+    /// candidate.
+    #[must_use]
+    pub fn is_eviction_candidate(&self, id: NodeId) -> bool {
+        id != NodeId::ROOT
+            && self
+                .get_node(id)
+                .is_some_and(|n| n.children.len() <= 1 && n.pin_count == 0)
     }
 
     /// Number of current eviction candidates, in O(1).
     #[must_use]
     pub fn eviction_candidate_count(&self) -> usize {
-        self.candidates.len()
+        self.lru.len()
     }
 
     /// Records a recency stamp on a node in O(log candidates).
@@ -810,10 +791,10 @@ impl<D> RadixTree<D> {
     /// [`lru_candidates`](RadixTree::lru_candidates): the caller supplies
     /// monotone stamps (e.g. [`recency_stamp`](crate::recency_stamp) of an
     /// access clock) and the tree keeps candidates sorted by
-    /// `(stamp, id)`. Touching a non-candidate (e.g. a multi-child branch
-    /// on a hit path) just records the stamp; the node carries it into the
-    /// recency index if it later becomes a candidate. New nodes start at
-    /// stamp 0.
+    /// `(stamp, id)`. Touching a non-candidate (a multi-child branch on a
+    /// hit path, or a pinned node) just records the stamp; the node carries
+    /// it into the recency index if it later becomes a candidate. New nodes
+    /// start at stamp 0.
     ///
     /// # Panics
     ///
@@ -823,7 +804,7 @@ impl<D> RadixTree<D> {
         if old == stamp {
             return;
         }
-        if self.candidates.contains(id) {
+        if self.is_eviction_candidate(id) {
             self.lru.remove(old, id);
             self.lru.insert(stamp, id);
         }
@@ -840,20 +821,24 @@ impl<D> RadixTree<D> {
         self.node(id).stamp
     }
 
-    /// Eviction candidates in ascending `(stamp, id)` order, each with its
-    /// stamp — the LRU-first victim ordering for α = 0 policies, served
-    /// from the O(log n) recency index with no scan.
+    /// Eviction candidates ([`is_eviction_candidate`]) in ascending
+    /// `(stamp, id)` order, each with its stamp — the LRU-first victim
+    /// ordering for α = 0 policies, served from the O(log n) recency index
+    /// with no scan. Iterating costs O(candidates), not O(arena slots),
+    /// however much the arena has churned.
+    ///
+    /// [`is_eviction_candidate`]: RadixTree::is_eviction_candidate
     pub fn lru_candidates(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
         self.lru.iter()
     }
 
     /// Pins `id` for an in-flight request: increments the pin count of
     /// every node from `id` up to (excluding) the root. While any count on
-    /// a node is nonzero the node is *protected* — [`remove`] refuses it
-    /// with [`RemoveError::Pinned`], and a well-behaved cache also skips it
-    /// for demotion, because an in-flight request is still reading the KVs
-    /// along the pinned path. O(depth in nodes). Pinning the root is a
-    /// no-op.
+    /// a node is nonzero the node is *protected* — it leaves the candidate
+    /// set, [`remove`] refuses it with [`RemoveError::Pinned`], and a
+    /// well-behaved cache also skips it for demotion, because an in-flight
+    /// request is still reading the KVs along the pinned path.
+    /// O(depth in nodes · log candidates). Pinning the root is a no-op.
     ///
     /// Pins are balanced by [`unpin`](RadixTree::unpin) with the *same*
     /// id: pinned nodes are never removed, and edge splits copy counts
@@ -873,15 +858,18 @@ impl<D> RadixTree<D> {
             let first = n.pin_count == 1;
             let parent = n.parent.expect("invariant: non-root nodes have a parent");
             if first {
-                self.pinned.insert(cur);
+                self.pinned += 1;
+                self.sync_candidate(cur);
             }
             cur = parent;
         }
     }
 
     /// Releases one [`pin`](RadixTree::pin) of `id`: decrements the pin
-    /// count of every node from `id` up to (excluding) the root.
-    /// O(depth in nodes). Unpinning the root is a no-op.
+    /// count of every node from `id` up to (excluding) the root. A node
+    /// whose count reaches 0 re-enters the candidate set (if it has ≤ 1
+    /// child) at its stored stamp. O(depth in nodes · log candidates).
+    /// Unpinning the root is a no-op.
     ///
     /// # Panics
     ///
@@ -893,11 +881,13 @@ impl<D> RadixTree<D> {
         while cur != NodeId::ROOT {
             let n = self.node_mut(cur);
             debug_assert!(n.pin_count > 0, "{cur}: unpin without a matching pin");
+            let was_pinned = n.pin_count > 0;
             n.pin_count = n.pin_count.saturating_sub(1);
-            let now_free = n.pin_count == 0;
+            let now_free = was_pinned && n.pin_count == 0;
             let parent = n.parent.expect("invariant: non-root nodes have a parent");
             if now_free {
-                self.pinned.remove(cur);
+                self.pinned -= 1;
+                self.sync_candidate(cur);
             }
             cur = parent;
         }
@@ -914,27 +904,24 @@ impl<D> RadixTree<D> {
         self.node(id).pin_count > 0
     }
 
-    /// Iterates over all currently protected nodes (pin count > 0), in the
-    /// index's internal (deterministic but unspecified) order.
-    pub fn pinned_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.pinned.iter()
-    }
-
     /// Number of currently protected nodes, in O(1).
     #[must_use]
     pub fn pinned_count(&self) -> usize {
-        self.pinned.len()
+        self.pinned
     }
 
     /// Drops every pin, returning the tree to a fully evictable state.
+    /// O(arena slots).
     ///
     /// Intended for clones handed to offline replay (e.g. the α tuner's
     /// replicas), which model no in-flight lifetimes.
     pub fn clear_pins(&mut self) {
-        let ids: Vec<NodeId> = self.pinned.drain().collect();
-        for id in ids {
+        let pinned: Vec<NodeId> = self.node_ids().filter(|&id| self.is_pinned(id)).collect();
+        for id in pinned {
             self.node_mut(id).pin_count = 0;
+            self.sync_candidate(id);
         }
+        self.pinned = 0;
     }
 
     /// Structure version of a node: bumped whenever the node's leaf status,
@@ -1223,7 +1210,8 @@ impl<D> RadixTree<D> {
         let child = node.children.first_id();
         let first_tok = self.store[node.edge.off as usize];
 
-        self.candidate_drop(id);
+        let stamp = node.stamp;
+        self.lru.remove(stamp, id);
         match child {
             None => {
                 let node = self.free(id);
@@ -1342,27 +1330,17 @@ impl<D> RadixTree<D> {
                     "{id}: depth mismatch"
                 );
                 seen_tokens += u64::from(n.edge.len);
-                let should_be_candidate = n.children.len() <= 1;
+                let should_be_candidate = n.children.len() <= 1 && n.pin_count == 0;
                 assert_eq!(
-                    self.candidates.contains(id),
+                    self.lru.contains(n.stamp, id),
                     should_be_candidate,
-                    "{id}: candidate-index membership drift (child_count = {})",
-                    n.children.len()
+                    "{id}: candidate-set membership drift or stale stamp \
+                     (child_count = {}, pin_count = {}, stamp = {})",
+                    n.children.len(),
+                    n.pin_count,
+                    n.stamp
                 );
-                if should_be_candidate {
-                    assert!(
-                        self.lru.contains(n.stamp, id),
-                        "{id}: recency-index entry missing or stale (stamp = {})",
-                        n.stamp
-                    );
-                }
                 seen_candidates += usize::from(should_be_candidate);
-                assert_eq!(
-                    self.pinned.contains(id),
-                    n.pin_count > 0,
-                    "{id}: pinned-index membership drift (pin_count = {})",
-                    n.pin_count
-                );
                 seen_pinned += usize::from(n.pin_count > 0);
                 if n.parent != Some(NodeId::ROOT) {
                     assert!(
@@ -1396,29 +1374,14 @@ impl<D> RadixTree<D> {
         }
         assert_eq!(seen_nodes, self.node_count, "node_count drift");
         assert_eq!(seen_tokens, self.token_count, "token_count drift");
+        // Every live member was found above, so any surplus entry is dead,
+        // stale, a duplicate, or the root.
         assert_eq!(
             seen_candidates,
-            self.candidates.len(),
-            "candidate index holds dead or duplicate entries"
-        );
-        assert_eq!(
             self.lru.len(),
-            self.candidates.len(),
-            "recency index out of sync with the candidate index"
+            "candidate set holds dead, stale, duplicate, or root entries"
         );
-        assert!(
-            !self.candidates.contains(NodeId::ROOT),
-            "root must never be a candidate"
-        );
-        assert_eq!(
-            seen_pinned,
-            self.pinned.len(),
-            "pinned index holds dead or duplicate entries"
-        );
-        assert!(
-            !self.pinned.contains(NodeId::ROOT),
-            "root must never be in the pinned index"
-        );
+        assert_eq!(seen_pinned, self.pinned, "pinned counter drift");
     }
 
     /// Graphviz `dot` rendering of the tree structure (edge labels
@@ -1686,7 +1649,7 @@ mod tests {
         let mut t = tree();
         t.insert(&[1, 2, 3, 4]);
         t.insert(&[1, 2, 9, 9]);
-        let cands: Vec<_> = t.eviction_candidates().collect();
+        let cands: Vec<_> = t.lru_candidates().map(|(_, id)| id).collect();
         // Two leaves are candidates; the 2-child branch node is not.
         assert_eq!(cands.len(), 2);
         assert_eq!(t.eviction_candidate_count(), 2);
@@ -1704,15 +1667,15 @@ mod tests {
         // Split creates a branch (2 children, not a candidate) + new leaf.
         let b = t.insert(&[1, 2, 9, 9]);
         let branch = b.split_node.unwrap();
-        assert!(!t.eviction_candidates().any(|id| id == branch));
+        assert!(!t.is_eviction_candidate(branch));
         // A third diverging child keeps the branch out.
         t.insert(&[1, 2, 7, 7]);
-        assert!(!t.eviction_candidates().any(|id| id == branch));
+        assert!(t.lru_candidates().all(|(_, id)| id != branch));
         // Remove two of the three leaves: the branch drops to one child and
         // becomes a candidate.
         t.remove(a.end_node).unwrap();
         t.remove(b.new_leaf.unwrap()).unwrap();
-        assert!(t.eviction_candidates().any(|id| id == branch));
+        assert!(t.lru_candidates().any(|(_, id)| id == branch));
         t.assert_invariants();
     }
 
@@ -2004,6 +1967,37 @@ mod tests {
         assert_eq!(t.pinned_count(), 0);
         assert!(!t.is_pinned(a));
         assert!(t.remove(a).is_ok());
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn pins_leave_the_candidate_set_and_unpins_restore_the_stamp_order() {
+        let mut t = tree();
+        let a = t.insert(&[1, 1]).end_node;
+        let b = t.insert(&[2, 2]).end_node;
+        let c = t.insert(&[3, 3]).end_node;
+        t.touch(a, 10);
+        t.touch(b, 20);
+        t.touch(c, 30);
+        let order =
+            |t: &RadixTree<u32>| -> Vec<NodeId> { t.lru_candidates().map(|(_, id)| id).collect() };
+        let before = order(&t);
+        t.pin(b);
+        t.pin(b);
+        assert!(
+            !t.is_eviction_candidate(b),
+            "a pinned node is not a candidate"
+        );
+        assert_eq!(order(&t), vec![a, c]);
+        // A touch while pinned is recorded and carried back in.
+        t.touch(b, 5);
+        t.unpin(b);
+        assert_eq!(order(&t), vec![a, c], "one of two pins still holds");
+        t.assert_invariants();
+        t.unpin(b);
+        assert_eq!(order(&t), vec![b, a, c], "re-entered at its stored stamp");
+        t.touch(b, 20);
+        assert_eq!(order(&t), before, "pin-free order is untouched");
         t.assert_invariants();
     }
 

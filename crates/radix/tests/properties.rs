@@ -105,7 +105,7 @@ proptest! {
             tree.insert(s);
         }
         for victim in victims {
-            let candidates: Vec<NodeId> = tree.eviction_candidates().collect();
+            let candidates: Vec<NodeId> = tree.lru_candidates().map(|(_, id)| id).collect();
             if candidates.is_empty() {
                 break;
             }
@@ -136,32 +136,60 @@ proptest! {
     #[test]
     fn candidate_index_matches_scan_recompute(
         seqs in seqs_strategy(),
-        ops in prop::collection::vec((0u32..2, any::<prop::sample::Index>()), 1..48),
+        ops in prop::collection::vec((0u32..6, any::<prop::sample::Index>()), 1..64),
     ) {
-        // Interleave inserts and candidate removals, and after every
-        // mutation assert the incremental index equals a from-scratch
-        // recompute (`child_count ≤ 1` over `node_ids()`).
+        // Interleave inserts, candidate removals, pins, unpins, touches,
+        // and pin clears, and after every op assert the recency index is
+        // exactly the from-scratch scan of live non-root nodes with ≤ 1
+        // child and no pin, in ascending (stamp, id) order — the index's
+        // membership and its size bound.
         let mut tree: RadixTree<()> = RadixTree::new();
         let check = |tree: &RadixTree<()>| {
-            let mut indexed: Vec<NodeId> = tree.eviction_candidates().collect();
-            indexed.sort_unstable();
-            let mut scanned: Vec<NodeId> = tree
+            let indexed: Vec<(u64, NodeId)> = tree.lru_candidates().collect();
+            let mut scanned: Vec<(u64, NodeId)> = tree
                 .node_ids()
-                .filter(|&id| tree.child_count(id) <= 1)
+                .filter(|&id| tree.child_count(id) <= 1 && !tree.is_pinned(id))
+                .map(|id| (tree.stamp(id), id))
                 .collect();
             scanned.sort_unstable();
-            assert_eq!(indexed, scanned, "index drifted from scan recompute");
+            assert_eq!(indexed, scanned, "recency index drifted from scan recompute");
             assert_eq!(tree.eviction_candidate_count(), scanned.len());
+            let pinned = tree.node_ids().filter(|&id| tree.is_pinned(id)).count();
+            assert_eq!(tree.pinned_count(), pinned);
         };
         let mut next_seq = 0usize;
+        // Pinned ids stay live: pinned nodes are never removed.
+        let mut held: Vec<NodeId> = Vec::new();
         for (op, pick) in ops {
-            if op == 0 || tree.is_empty() {
-                tree.insert(&seqs[next_seq % seqs.len()]);
-                next_seq += 1;
-            } else {
-                let candidates: Vec<NodeId> = tree.eviction_candidates().collect();
-                let id = candidates[pick.index(candidates.len())];
-                tree.remove(id).expect("candidate is removable");
+            let live: Vec<NodeId> = tree.node_ids().collect();
+            let candidates: Vec<NodeId> = tree.lru_candidates().map(|(_, id)| id).collect();
+            match op {
+                1 if !candidates.is_empty() => {
+                    let id = candidates[pick.index(candidates.len())];
+                    tree.remove(id).expect("candidate is removable");
+                }
+                2 if !live.is_empty() => {
+                    let id = live[pick.index(live.len())];
+                    tree.pin(id);
+                    held.push(id);
+                }
+                3 if !held.is_empty() => {
+                    let id = held.swap_remove(pick.index(held.len()));
+                    tree.unpin(id);
+                }
+                // Few distinct stamps, so (stamp, id) ties are common.
+                4 if !live.is_empty() => {
+                    let id = live[pick.index(live.len())];
+                    tree.touch(id, pick.index(8) as u64);
+                }
+                5 => {
+                    tree.clear_pins();
+                    held.clear();
+                }
+                _ => {
+                    tree.insert(&seqs[next_seq % seqs.len()]);
+                    next_seq += 1;
+                }
             }
             check(&tree);
             tree.assert_invariants();

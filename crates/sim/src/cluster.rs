@@ -23,15 +23,16 @@
 //! byte-for-byte under every router (the parity tests below pin this), so
 //! the paper-claims suite anchors the cluster layer.
 
+use crate::engine::{serve_request, DEFAULT_SESSION_CURSOR_CAP};
 use crate::gpu::GpuModel;
 use crate::report::{RequestRecord, SimReport};
 use marconi_core::{
-    CacheStats, CheckpointMode, EvictionPolicy, HybridPrefixCache, PrefixCache, ReloadPolicy,
-    TieredPrefix,
+    CacheStats, CheckpointMode, CursorTable, EvictionPolicy, HybridPrefixCache, PrefixCache,
+    ReloadPolicy, TieredPrefix,
 };
 use marconi_metrics::LoadImbalance;
 use marconi_model::ModelConfig;
-use marconi_trace::{ReloadDecision as TraceReload, ReplicaProbe, TraceEvent, Tracer};
+use marconi_trace::{ReplicaProbe, TraceEvent, Tracer};
 use marconi_workload::{Request, Token, Trace};
 use std::fmt;
 
@@ -409,6 +410,9 @@ impl fmt::Display for RoutingPolicy {
 #[derive(Debug)]
 pub struct Cluster {
     replicas: Vec<HybridPrefixCache>,
+    /// Per-replica session cursor tables, like one [`Engine`](crate::Engine)
+    /// per replica (a cursor only ever resumes in the tree that minted it).
+    cursors: Vec<CursorTable>,
     router: Box<dyn Router>,
     gpu: GpuModel,
     tracer: Tracer,
@@ -466,11 +470,12 @@ impl Cluster {
 
     /// Replays `trace`, routing each request as it arrives.
     ///
-    /// Mirrors [`Engine::run`](crate::Engine::run) per replica: look up the
-    /// longest reusable prefix at arrival time, charge the uncached prefill
-    /// to the device model, admit the full sequence afterwards. Cache state
-    /// persists across calls (like `Engine`), but each call reports only
-    /// its own requests.
+    /// Each replica serves its requests with
+    /// [`Engine::run`](crate::Engine::run)'s per-request step — session-
+    /// hinted lookup at arrival time, reload pricing, the uncached prefill
+    /// charged to the device model, admission of the full sequence — with
+    /// its own session cursor table. Cache state persists across calls
+    /// (like `Engine`), but each call reports only its own requests.
     ///
     /// # Panics
     ///
@@ -504,50 +509,14 @@ impl Cluster {
                     probes,
                 });
             }
-            let replica = &mut self.replicas[idx];
-            let hit = replica.lookup_at(&req.input, req.arrival);
-            let model = replica.model().clone();
-            let (reload_s, reload) = self.gpu.reload_secs(
-                replica.reload_policy(),
-                hit.host_bytes,
-                hit.host_reload_flops,
-            );
-            if reload != crate::gpu::ReloadDecision::None && self.tracer.is_enabled() {
-                let cache: std::sync::Arc<str> = format!("{}[{idx}]", replica.name()).into();
-                let load_secs = self.gpu.transfer_secs(hit.host_bytes);
-                let recompute_secs = self.gpu.secs_for_flops(hit.host_reload_flops);
-                self.tracer.emit(|| TraceEvent::Reload {
-                    ts: req.arrival,
-                    cache,
-                    host_bytes: hit.host_bytes,
-                    load_secs,
-                    recompute_secs,
-                    decision: match reload {
-                        crate::gpu::ReloadDecision::Recomputed => TraceReload::Recompute,
-                        _ => TraceReload::Load,
-                    },
-                });
-            }
-            let ttft_ms = self
-                .gpu
-                .ttft_ms(&model, req.input_len(), hit.tokens_matched)
-                + reload_s * 1e3;
-            let flops_spent = model.prefill_flops_with_prefix(req.input_len(), hit.tokens_matched);
-            replica.insert_at(&req.input, &req.output, req.arrival);
-            records[idx].push(RequestRecord {
-                id: req.id,
-                session_id: req.session_id,
-                arrival: req.arrival,
-                input_len: req.input_len(),
-                hit_tokens: hit.tokens_matched,
-                host_hit_tokens: hit.host_tokens,
-                raw_matched: hit.raw_matched,
-                ttft_ms,
-                reload_ms: reload_s * 1e3,
-                reload,
-                flops_spent,
-                flops_saved: hit.flops_saved,
-            });
+            records[idx].push(serve_request(
+                &mut self.replicas[idx],
+                &self.gpu,
+                &self.tracer,
+                &mut self.cursors[idx],
+                req,
+                Some(idx),
+            ));
             assignments.push(idx);
         }
         let replicas = self
@@ -665,6 +634,9 @@ impl ClusterBuilder {
     /// Builds the cluster.
     pub fn build(self) -> Cluster {
         Cluster {
+            cursors: (0..self.replicas)
+                .map(|_| CursorTable::new(DEFAULT_SESSION_CURSOR_CAP))
+                .collect(),
             replicas: build_replicas(
                 &self.model,
                 self.replicas,

@@ -2,9 +2,9 @@
 
 use crate::gpu::{GpuModel, ReloadDecision};
 use crate::report::{RequestRecord, SimReport};
-use marconi_core::{CursorTable, PrefixCache};
+use marconi_core::{CursorTable, LookupResult, PrefixCache};
 use marconi_trace::{ReloadDecision as TraceReload, TraceEvent, Tracer};
-use marconi_workload::Trace;
+use marconi_workload::{Request, Trace};
 
 /// Default bound on the engine's per-session cursor table. Far above any
 /// generated trace's session count, yet keeps pathological session-id
@@ -106,55 +106,20 @@ impl<C: PrefixCache> Engine<C> {
     /// carries which arm was taken. Single-tier caches never report host
     /// bytes, so their TTFTs are unchanged.
     pub fn run(&mut self, trace: &Trace) -> SimReport {
-        let mut records = Vec::with_capacity(trace.len());
-        let model = self.cache.model().clone();
-        for req in &trace.requests {
-            let hint = self.cursors.take(req.session_id);
-            let hit = self.cache.lookup_at_with(&req.input, req.arrival, hint);
-            let (reload_s, reload) = self.gpu.reload_secs(
-                self.cache.reload_policy(),
-                hit.host_bytes,
-                hit.host_reload_flops,
-            );
-            if reload != ReloadDecision::None {
-                self.tracer.emit(|| TraceEvent::Reload {
-                    ts: req.arrival,
-                    cache: self.cache.name().into(),
-                    host_bytes: hit.host_bytes,
-                    load_secs: self.gpu.transfer_secs(hit.host_bytes),
-                    recompute_secs: self.gpu.secs_for_flops(hit.host_reload_flops),
-                    decision: match reload {
-                        ReloadDecision::Recomputed => TraceReload::Recompute,
-                        _ => TraceReload::Load,
-                    },
-                });
-            }
-            let ttft_ms = self
-                .gpu
-                .ttft_ms(&model, req.input_len(), hit.tokens_matched)
-                + reload_s * 1e3;
-            let flops_spent = model.prefill_flops_with_prefix(req.input_len(), hit.tokens_matched);
-            let (_, next) = self
-                .cache
-                .insert_at_with(&req.input, &req.output, req.arrival, hint);
-            if let Some(cursor) = next {
-                self.cursors.put(req.session_id, cursor);
-            }
-            records.push(RequestRecord {
-                id: req.id,
-                session_id: req.session_id,
-                arrival: req.arrival,
-                input_len: req.input_len(),
-                hit_tokens: hit.tokens_matched,
-                host_hit_tokens: hit.host_tokens,
-                raw_matched: hit.raw_matched,
-                ttft_ms,
-                reload_ms: reload_s * 1e3,
-                reload,
-                flops_spent,
-                flops_saved: hit.flops_saved,
-            });
-        }
+        let records = trace
+            .requests
+            .iter()
+            .map(|req| {
+                serve_request(
+                    &mut self.cache,
+                    &self.gpu,
+                    &self.tracer,
+                    &mut self.cursors,
+                    req,
+                    None,
+                )
+            })
+            .collect();
         SimReport {
             system: self.cache.name().to_owned(),
             trace: trace.name.clone(),
@@ -162,6 +127,82 @@ impl<C: PrefixCache> Engine<C> {
             cache_stats: *self.cache.stats(),
         }
     }
+}
+
+/// Serves one request the instantaneous engine's way: the session-hinted
+/// lookup at arrival, reload pricing for any host-resident share, the TTFT
+/// of the uncached suffix, then admission of the full sequence, depositing
+/// the cursor it minted for the session's next request. The per-request
+/// step of both [`Engine::run`] and
+/// [`Cluster::run`](crate::Cluster::run); `replica` labels cluster
+/// replicas in trace events.
+pub(crate) fn serve_request<C: PrefixCache + ?Sized>(
+    cache: &mut C,
+    gpu: &GpuModel,
+    tracer: &Tracer,
+    cursors: &mut CursorTable,
+    req: &Request,
+    replica: Option<usize>,
+) -> RequestRecord {
+    let hint = cursors.take(req.session_id);
+    let hit = cache.lookup_at_with(&req.input, req.arrival, hint);
+    let (reload_s, reload) = price_reload(&*cache, replica, gpu, tracer, &hit, req.arrival);
+    let model = cache.model();
+    let ttft_ms = gpu.ttft_ms(model, req.input_len(), hit.tokens_matched) + reload_s * 1e3;
+    let flops_spent = model.prefill_flops_with_prefix(req.input_len(), hit.tokens_matched);
+    let (_, next) = cache.insert_at_with(&req.input, &req.output, req.arrival, hint);
+    if let Some(cursor) = next {
+        cursors.put(req.session_id, cursor);
+    }
+    RequestRecord {
+        id: req.id,
+        session_id: req.session_id,
+        arrival: req.arrival,
+        input_len: req.input_len(),
+        hit_tokens: hit.tokens_matched,
+        host_hit_tokens: hit.host_tokens,
+        raw_matched: hit.raw_matched,
+        ttft_ms,
+        reload_ms: reload_s * 1e3,
+        reload,
+        flops_spent,
+        flops_saved: hit.flops_saved,
+    }
+}
+
+/// Prices the host-resident share of `hit` under the cache's
+/// [`ReloadPolicy`](marconi_core::ReloadPolicy) and emits the
+/// [`TraceEvent::Reload`] decision when there is one. Shared by every
+/// modeled-latency replay loop (engine, cluster, executor) so pricing and its
+/// telemetry cannot drift; `replica` suffixes the cache name as
+/// `name[i]`.
+pub(crate) fn price_reload<C: PrefixCache + ?Sized>(
+    cache: &C,
+    replica: Option<usize>,
+    gpu: &GpuModel,
+    tracer: &Tracer,
+    hit: &LookupResult,
+    ts: f64,
+) -> (f64, ReloadDecision) {
+    let (secs, decision) =
+        gpu.reload_secs(cache.reload_policy(), hit.host_bytes, hit.host_reload_flops);
+    if decision != ReloadDecision::None {
+        tracer.emit(|| TraceEvent::Reload {
+            ts,
+            cache: match replica {
+                None => cache.name().into(),
+                Some(i) => format!("{}[{i}]", cache.name()).into(),
+            },
+            host_bytes: hit.host_bytes,
+            load_secs: gpu.transfer_secs(hit.host_bytes),
+            recompute_secs: gpu.secs_for_flops(hit.host_reload_flops),
+            decision: match decision {
+                ReloadDecision::Recomputed => TraceReload::Recompute,
+                _ => TraceReload::Load,
+            },
+        });
+    }
+    (secs, decision)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 use crate::event::EventRecord;
 use crate::gpu::{GpuModel, ReloadDecision};
 use marconi_core::{CursorTable, PinTicket, PrefixCache, SessionCursor};
-use marconi_trace::{ReloadDecision as TraceReload, TraceEvent, Tracer};
+use marconi_trace::{TraceEvent, Tracer};
 use marconi_workload::Request;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -298,25 +298,7 @@ impl<'a> Executor<'a> {
             let pin = cache.pin_prefix_with(&req.input, hint);
             let (reload_s, reload) = match &self.service {
                 ServiceMode::Modeled(gpu) => {
-                    let priced = gpu.reload_secs(
-                        cache.reload_policy(),
-                        hit.host_bytes,
-                        hit.host_reload_flops,
-                    );
-                    if priced.1 != ReloadDecision::None {
-                        self.tracer.emit(|| TraceEvent::Reload {
-                            ts: now,
-                            cache: cache.name().into(),
-                            host_bytes: hit.host_bytes,
-                            load_secs: gpu.transfer_secs(hit.host_bytes),
-                            recompute_secs: gpu.secs_for_flops(hit.host_reload_flops),
-                            decision: match priced.1 {
-                                ReloadDecision::Recomputed => TraceReload::Recompute,
-                                _ => TraceReload::Load,
-                            },
-                        });
-                    }
-                    priced
+                    crate::engine::price_reload(&*cache, None, gpu, &self.tracer, &hit, now)
                 }
                 // Infinite throughput also means infinite bandwidth: host
                 // hits reload in zero time, but the recorded arm still

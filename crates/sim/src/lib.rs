@@ -5,8 +5,8 @@
 //! tokens, FLOPs, TTFT) and aggregate reports. TTFT comes from an analytic
 //! [`GpuModel`]: prefill is compute-bound, so time-to-first-token is the
 //! FLOPs of the *uncached* prefill portion divided by effective device
-//! throughput plus a fixed overhead (DESIGN.md documents this substitution
-//! for the paper's 4×A100 testbed).
+//! throughput plus a fixed overhead, an analytic stand-in for the paper's
+//! 4×A100 testbed (`docs/latency.md` covers the load-dependent model).
 //!
 //! The [`Comparison`] runner drives the same trace through Marconi and
 //! every baseline (vanilla, vLLM+, SGLang+, and the offline static-α

@@ -1,10 +1,11 @@
-//! Criterion bench for the sharded-cluster replay across replica counts
-//! and routing policies.
+//! Criterion bench for the zero-time sharded-cluster replay across replica
+//! counts and routing policies.
 //!
-//! Sweeps replicas ∈ {1, 2, 4, 8} × {round-robin, session-affinity,
-//! prefix-aware} over one seeded multi-tenant trace at fixed *total*
-//! capacity, so the sweep isolates the placement effect: more replicas
-//! never add memory, they only fragment it.
+//! Sweeps replicas ∈ {1, 2, 4, 8} × every built-in router over one seeded
+//! multi-tenant trace at fixed *total* capacity, so the sweep isolates the
+//! placement effect: more replicas never add memory, they only fragment
+//! it. The cluster is an `EventCluster` in zero-time mode, so no queueing
+//! enters the measurement.
 //!
 //! Besides the wall-time lines, a `cluster_scaling/[sweep]` line per
 //! configuration prints the aggregate token hit rate and the load-imbalance
@@ -15,7 +16,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use marconi_core::EvictionPolicy;
 use marconi_model::ModelConfig;
-use marconi_sim::{Cluster, RoutingPolicy};
+use marconi_sim::{EventCluster, RoutingPolicy};
 use marconi_workload::{DatasetKind, Trace, TraceGenerator};
 
 const GB: u64 = 1_000_000_000;
@@ -33,14 +34,15 @@ fn trace() -> Trace {
         .generate()
 }
 
-fn cluster(replicas: usize, routing: RoutingPolicy) -> Cluster {
-    Cluster::builder(ModelConfig::hybrid_7b())
+fn cluster(replicas: usize, routing: RoutingPolicy) -> EventCluster {
+    EventCluster::builder(ModelConfig::hybrid_7b())
         .replicas(replicas)
         .total_capacity_bytes(2 * GB)
         // Static α: marconi-flavored eviction without per-iteration tuner
         // replays dominating the measurement.
         .policy(EvictionPolicy::FlopAware { alpha: 2.0 })
         .routing(routing)
+        .instantaneous()
         .build()
 }
 

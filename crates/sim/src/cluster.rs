@@ -1,11 +1,13 @@
-//! Sharded cluster simulation: N cache replicas behind a pluggable router.
+//! Routing for multi-replica serving: N cache replicas behind a pluggable
+//! router.
 //!
 //! Marconi's evaluation is single-replica; at production scale a fleet of
 //! cache replicas sits behind a router that decides where each request
 //! lands, and the *placement* decision determines how much cross-request
-//! prefix reuse survives sharding. This module replays a trace against N
-//! independent [`HybridPrefixCache`] replicas — each with its own capacity
-//! slice and eviction policy — under a [`Router`]:
+//! prefix reuse survives sharding. [`EventCluster`](crate::EventCluster)
+//! replays a trace against N independent [`HybridPrefixCache`] replicas —
+//! each with its own capacity slice and eviction policy — under one of
+//! this module's [`Router`]s:
 //!
 //! * [`RoundRobin`] — spreads consecutive requests evenly, destroying both
 //!   session history and shared-prompt locality;
@@ -16,24 +18,16 @@
 //!   [`PrefixCache::longest_cached_prefix_len`]) and routes to the best
 //!   match, breaking ties toward the least-loaded replica;
 //! * [`QueueAware`] — like [`PrefixAware`], but ties break toward the
-//!   fewest outstanding queued tokens — meaningful under the event-driven
-//!   [`EventCluster`](crate::EventCluster), where queues actually form.
+//!   fewest outstanding queued tokens, so under modeled service time
+//!   placement trades prefix locality against real-time load.
 //!
-//! An N=1 cluster reproduces the single-node [`Engine`](crate::Engine)
-//! byte-for-byte under every router (the parity tests below pin this), so
-//! the paper-claims suite anchors the cluster layer.
+//! An N=1 cluster reproduces the single-node [`Engine`](crate::Engine)'s
+//! cache outcomes byte-for-byte under every router (the parity tests below
+//! pin this), so the paper-claims suite anchors the cluster layer.
 
-use crate::engine::{serve_request, DEFAULT_SESSION_CURSOR_CAP};
-use crate::gpu::GpuModel;
-use crate::report::{RequestRecord, SimReport};
-use marconi_core::{
-    CacheStats, CheckpointMode, CursorTable, EvictionPolicy, HybridPrefixCache, PrefixCache,
-    ReloadPolicy, TieredPrefix,
-};
-use marconi_metrics::LoadImbalance;
-use marconi_model::ModelConfig;
-use marconi_trace::{ReplicaProbe, TraceEvent, Tracer};
-use marconi_workload::{Request, Token, Trace};
+use marconi_core::{HybridPrefixCache, PrefixCache, TieredPrefix};
+use marconi_trace::ReplicaProbe;
+use marconi_workload::{Request, Token};
 use std::fmt;
 
 /// What a [`Router`] may see of one replica: a read-only probe plus load
@@ -48,10 +42,7 @@ pub struct ReplicaStatus<'a> {
 
 impl<'a> ReplicaStatus<'a> {
     /// Builds the router-facing view of one replica. `queued_tokens` is the
-    /// replica's outstanding prefill backlog; the instantaneous
-    /// [`Cluster`] always passes 0 (its queues never form), the
-    /// event-driven [`EventCluster`](crate::EventCluster) passes live
-    /// queue depth.
+    /// replica executor's outstanding prefill backlog at routing time.
     pub(crate) fn new(index: usize, cache: &'a HybridPrefixCache, queued_tokens: u64) -> Self {
         ReplicaStatus {
             index,
@@ -68,7 +59,9 @@ impl<'a> ReplicaStatus<'a> {
 
     /// Outstanding prefill backlog in tokens: inputs waiting in the
     /// replica's admission queue plus un-prefilled remainders of its
-    /// running batch. Always 0 under the instantaneous [`Cluster`].
+    /// running batch. Always 0 in zero-time mode
+    /// ([`EventClusterBuilder::instantaneous`](crate::EventClusterBuilder::instantaneous)),
+    /// where every request completes before the next arrival is routed.
     #[must_use]
     pub fn queued_tokens(&self) -> u64 {
         self.queued_tokens
@@ -91,12 +84,15 @@ impl<'a> ReplicaStatus<'a> {
         self.cache.probe_tiers(input)
     }
 
-    /// Input tokens routed to this replica so far (the load measure).
+    /// Input tokens this replica has looked up so far (the load measure):
+    /// the cache's own cumulative `input_tokens` counter, one source of
+    /// truth shared with
+    /// [`EventClusterReport::replica_loads`](crate::EventClusterReport::replica_loads).
     ///
-    /// Every routed request performs exactly one lookup on its winning
-    /// replica, so this is the cache's own cumulative `input_tokens`
-    /// counter — one source of truth shared with
-    /// [`ClusterReport::replica_loads`].
+    /// A routed request counts here only once its executor has admitted
+    /// it and done its lookup. Requests still waiting in the replica's
+    /// queue count in [`queued_tokens`](ReplicaStatus::queued_tokens)
+    /// instead.
     #[must_use]
     pub fn routed_tokens(&self) -> u64 {
         self.cache.stats().input_tokens
@@ -235,12 +231,11 @@ impl Router for PrefixAware {
 /// the fewest *outstanding queued tokens*, then fewest routed tokens,
 /// then the lowest index.
 ///
-/// Under the instantaneous [`Cluster`] every queue reads 0 and this
-/// degenerates to exactly [`PrefixAware`]; under the event-driven
-/// [`EventCluster`](crate::EventCluster) it is the policy that finally
-/// trades prefix locality against real-time load — a deep cached prefix
-/// on a replica with a long backlog can still win, but among equally-warm
-/// replicas the request joins the shortest queue.
+/// In zero-time mode every queue reads 0 at routing time and this
+/// degenerates to exactly [`PrefixAware`]; under modeled service time it
+/// is the policy that trades prefix locality against real-time load — a
+/// deep cached prefix on a replica with a long backlog can still win, but
+/// among equally-warm replicas the request joins the shortest queue.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueueAware;
 
@@ -258,8 +253,8 @@ impl Router for QueueAware {
                     .cmp(&pb.tokens)
                     .then(pb.host_tokens.cmp(&pa.host_tokens))
                     .then(b.queued_tokens.cmp(&a.queued_tokens))
-                    // Queues tie (e.g. an idle fleet, or the instantaneous
-                    // cluster where depth is always 0): spread by
+                    // Queues tie (e.g. an idle fleet, or zero-time mode
+                    // where depth is always 0): spread by
                     // cumulative routed load like `PrefixAware`, so the
                     // policy never funnels cold traffic to replica 0.
                     .then(b.routed_tokens().cmp(&a.routed_tokens()))
@@ -383,404 +378,13 @@ impl fmt::Display for RoutingPolicy {
     }
 }
 
-/// N cache replicas behind a router, replayed like a single
-/// [`Engine`](crate::Engine) per replica.
-///
-/// # Examples
-///
-/// ```
-/// use marconi_model::ModelConfig;
-/// use marconi_sim::{Cluster, RoutingPolicy};
-/// use marconi_workload::{DatasetKind, TraceGenerator};
-///
-/// let trace = TraceGenerator::new(DatasetKind::ShareGpt)
-///     .sessions(8)
-///     .tenants(4)
-///     .seed(3)
-///     .generate();
-/// let mut cluster = Cluster::builder(ModelConfig::hybrid_7b())
-///     .replicas(4)
-///     .total_capacity_bytes(16 << 30)
-///     .routing(RoutingPolicy::PrefixAware)
-///     .build();
-/// let report = cluster.run(&trace);
-/// assert_eq!(report.assignments.len(), trace.len());
-/// assert_eq!(report.replicas.len(), 4);
-/// ```
-#[derive(Debug)]
-pub struct Cluster {
-    replicas: Vec<HybridPrefixCache>,
-    /// Per-replica session cursor tables, like one [`Engine`](crate::Engine)
-    /// per replica (a cursor only ever resumes in the tree that minted it).
-    cursors: Vec<CursorTable>,
-    router: Box<dyn Router>,
-    gpu: GpuModel,
-    tracer: Tracer,
-}
-
-impl Cluster {
-    /// Starts building a cluster of caches for `model`.
-    ///
-    /// Defaults: 1 replica, 16 GiB total capacity, the cache's default
-    /// (Marconi auto-tuned) eviction policy, [`RoutingPolicy::PrefixAware`],
-    /// a 4×A100 device model per replica.
-    #[must_use]
-    pub fn builder(model: ModelConfig) -> ClusterBuilder {
-        ClusterBuilder {
-            model,
-            replicas: 1,
-            total_capacity: 16 << 30,
-            total_host_capacity: 0,
-            reload_policy: ReloadPolicy::default(),
-            policy: EvictionPolicy::default(),
-            checkpoint_mode: CheckpointMode::Exact,
-            gpu: GpuModel::a100_x4(),
-            router: None,
-        }
-    }
-
-    /// Number of replicas.
-    #[must_use]
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Read access to one replica's cache (diagnostics and tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    #[must_use]
-    pub fn replica_cache(&self, index: usize) -> &HybridPrefixCache {
-        &self.replicas[index]
-    }
-
-    /// The active router's name.
-    #[must_use]
-    pub fn router_name(&self) -> &str {
-        self.router.name()
-    }
-
-    /// Attaches a tracer to the cluster layer's own decisions (routing
-    /// choices with per-replica probes, reload pricing). Replica caches
-    /// stay untraced; trace a single-cache run for cache-level events.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Replays `trace`, routing each request as it arrives.
-    ///
-    /// Each replica serves its requests with
-    /// [`Engine::run`](crate::Engine::run)'s per-request step — session-
-    /// hinted lookup at arrival time, reload pricing, the uncached prefill
-    /// charged to the device model, admission of the full sequence — with
-    /// its own session cursor table. Cache state persists across calls
-    /// (like `Engine`), but each call reports only its own requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router returns an out-of-range replica index.
-    pub fn run(&mut self, trace: &Trace) -> ClusterReport {
-        let n = self.replicas.len();
-        let mut records: Vec<Vec<RequestRecord>> = vec![Vec::new(); n];
-        let mut assignments = Vec::with_capacity(trace.len());
-        let stats_before: Vec<CacheStats> = self.replicas.iter().map(|r| *r.stats()).collect();
-        for req in &trace.requests {
-            let statuses: Vec<ReplicaStatus<'_>> = self
-                .replicas
-                .iter()
-                .enumerate()
-                .map(|(index, cache)| ReplicaStatus::new(index, cache, 0))
-                .collect();
-            let idx = self.router.route(req, &statuses);
-            assert!(
-                idx < n,
-                "router {} picked replica {idx} of {n}",
-                self.router.name()
-            );
-            if self.tracer.is_enabled() {
-                let probes = trace_probes(req, &statuses);
-                let tie_break = route_tie_break(self.router.name(), &probes);
-                self.tracer.emit(|| TraceEvent::RouterDecision {
-                    ts: req.arrival,
-                    request: req.id,
-                    chosen: idx as u64,
-                    tie_break,
-                    probes,
-                });
-            }
-            records[idx].push(serve_request(
-                &mut self.replicas[idx],
-                &self.gpu,
-                &self.tracer,
-                &mut self.cursors[idx],
-                req,
-                Some(idx),
-            ));
-            assignments.push(idx);
-        }
-        let replicas = self
-            .replicas
-            .iter()
-            .zip(records)
-            .zip(stats_before)
-            .enumerate()
-            .map(|(i, ((r, records), before))| SimReport {
-                system: format!("{}[{i}]", r.name()),
-                trace: trace.name.clone(),
-                records,
-                cache_stats: r.stats().delta_since(&before),
-            })
-            .collect();
-        ClusterReport {
-            router: self.router.name().to_owned(),
-            trace: trace.name.clone(),
-            replicas,
-            assignments,
-        }
-    }
-}
-
-/// Builder for [`Cluster`]; see [`Cluster::builder`].
-#[derive(Debug)]
-pub struct ClusterBuilder {
-    model: ModelConfig,
-    replicas: usize,
-    total_capacity: u64,
-    total_host_capacity: u64,
-    reload_policy: ReloadPolicy,
-    policy: EvictionPolicy,
-    checkpoint_mode: CheckpointMode,
-    gpu: GpuModel,
-    router: Option<Box<dyn Router>>,
-}
-
-impl ClusterBuilder {
-    /// Sets the replica count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replicas` is zero.
-    #[must_use]
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        assert!(replicas > 0, "a cluster needs at least one replica");
-        self.replicas = replicas;
-        self
-    }
-
-    /// Sets the cluster-wide device capacity; each replica gets an equal
-    /// `total / N` slice, so scaling N at fixed total capacity isolates the
-    /// *placement* effect from a memory-size effect.
-    #[must_use]
-    pub fn total_capacity_bytes(mut self, bytes: u64) -> Self {
-        self.total_capacity = bytes;
-        self
-    }
-
-    /// Sets the cluster-wide host-DRAM budget, sliced `total / N` like the
-    /// device capacity (default 0 = single-tier replicas).
-    #[must_use]
-    pub fn total_host_capacity_bytes(mut self, bytes: u64) -> Self {
-        self.total_host_capacity = bytes;
-        self
-    }
-
-    /// Sets every replica's reload policy for host-resident hits (default
-    /// [`ReloadPolicy::ComputeOrLoad`]).
-    #[must_use]
-    pub fn reload_policy(mut self, policy: ReloadPolicy) -> Self {
-        self.reload_policy = policy;
-        self
-    }
-
-    /// Sets every replica's eviction policy (default: the cache's default,
-    /// Marconi's auto-tuned FLOP-aware policy).
-    #[must_use]
-    pub fn policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets every replica's SSM checkpoint mode (default
-    /// [`CheckpointMode::Exact`]).
-    #[must_use]
-    pub fn checkpoint_mode(mut self, mode: CheckpointMode) -> Self {
-        self.checkpoint_mode = mode;
-        self
-    }
-
-    /// Sets the per-replica device model.
-    #[must_use]
-    pub fn gpu(mut self, gpu: GpuModel) -> Self {
-        self.gpu = gpu;
-        self
-    }
-
-    /// Selects a built-in routing policy (default
-    /// [`RoutingPolicy::PrefixAware`]).
-    #[must_use]
-    pub fn routing(mut self, policy: RoutingPolicy) -> Self {
-        self.router = Some(policy.build());
-        self
-    }
-
-    /// Installs a custom router.
-    #[must_use]
-    pub fn router(mut self, router: Box<dyn Router>) -> Self {
-        self.router = Some(router);
-        self
-    }
-
-    /// Builds the cluster.
-    pub fn build(self) -> Cluster {
-        Cluster {
-            cursors: (0..self.replicas)
-                .map(|_| CursorTable::new(DEFAULT_SESSION_CURSOR_CAP))
-                .collect(),
-            replicas: build_replicas(
-                &self.model,
-                self.replicas,
-                self.total_capacity,
-                self.total_host_capacity,
-                &self.policy,
-                self.checkpoint_mode,
-                self.reload_policy,
-            ),
-            router: self
-                .router
-                .unwrap_or_else(|| RoutingPolicy::PrefixAware.build()),
-            gpu: self.gpu,
-            tracer: Tracer::off(),
-        }
-    }
-}
-
-/// The one place replica caches are configured: every replica gets an
-/// equal `total / n` slice of both the device capacity and the host
-/// budget, and the same policy/checkpoint/reload knobs. Shared by
-/// [`ClusterBuilder`] and
-/// [`EventClusterBuilder`](crate::EventClusterBuilder) so the
-/// instantaneous and event-driven clusters can never drift in how they
-/// construct replicas (the tuner-replica-fidelity lesson of PR 2: any new
-/// cache knob must flow through here to reach both).
-pub(crate) fn build_replicas(
-    model: &ModelConfig,
-    n: usize,
-    total_capacity: u64,
-    total_host_capacity: u64,
-    policy: &EvictionPolicy,
-    checkpoint_mode: CheckpointMode,
-    reload_policy: ReloadPolicy,
-) -> Vec<HybridPrefixCache> {
-    let per_replica = total_capacity / n as u64;
-    let host_per_replica = total_host_capacity / n as u64;
-    (0..n)
-        .map(|_| {
-            HybridPrefixCache::builder(model.clone())
-                .capacity_bytes(per_replica)
-                .host_capacity_bytes(host_per_replica)
-                .policy(policy.clone())
-                .checkpoint_mode(checkpoint_mode)
-                .reload_policy(reload_policy)
-                .build()
-        })
-        .collect()
-}
-
-/// Result of one [`Cluster::run`]: per-replica breakdowns plus the
-/// assignment log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterReport {
-    /// Router name the run used.
-    pub router: String,
-    /// Trace name the run used.
-    pub trace: String,
-    /// One [`SimReport`] per replica (system names carry the replica
-    /// index, e.g. `marconi[2]`), covering this run's requests only.
-    pub replicas: Vec<SimReport>,
-    /// Replica index each request was routed to, in arrival order — the
-    /// determinism tests compare these logs across identical replays.
-    pub assignments: Vec<usize>,
-}
-
-impl ClusterReport {
-    /// Cluster-wide cache statistics: the per-replica counters summed.
-    ///
-    /// `peak_usage_bytes` is the sum of per-replica peaks (replicas peak at
-    /// different times, so this bounds — rather than equals — the true
-    /// simultaneous peak).
-    #[must_use]
-    pub fn aggregate_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for rep in &self.replicas {
-            total.accumulate(&rep.cache_stats);
-        }
-        total
-    }
-
-    /// Cluster-wide token hit rate: hit tokens over input tokens, summed
-    /// across replicas.
-    #[must_use]
-    pub fn aggregate_token_hit_rate(&self) -> f64 {
-        self.aggregate_stats().token_hit_rate()
-    }
-
-    /// Total prefill FLOPs saved across all replicas.
-    #[must_use]
-    pub fn total_flops_saved(&self) -> u128 {
-        self.replicas.iter().map(SimReport::total_flops_saved).sum()
-    }
-
-    /// Input tokens routed to each replica during this run.
-    #[must_use]
-    pub fn replica_loads(&self) -> Vec<u64> {
-        self.replicas
-            .iter()
-            .map(|r| r.cache_stats.input_tokens)
-            .collect()
-    }
-
-    /// Requests routed to each replica during this run.
-    #[must_use]
-    pub fn assignment_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.replicas.len()];
-        for &idx in &self.assignments {
-            counts[idx] += 1;
-        }
-        counts
-    }
-
-    /// Load-imbalance statistics over per-replica routed input tokens.
-    #[must_use]
-    pub fn load_imbalance(&self) -> Option<LoadImbalance> {
-        let loads: Vec<f64> = self.replica_loads().iter().map(|&t| t as f64).collect();
-        LoadImbalance::new(&loads)
-    }
-
-    /// All per-request TTFTs across replicas, in global arrival order.
-    #[must_use]
-    pub fn ttfts_ms(&self) -> Vec<f64> {
-        let mut with_ids: Vec<(u64, f64)> = self
-            .replicas
-            .iter()
-            .flat_map(|r| r.records.iter().map(|rec| (rec.id, rec.ttft_ms)))
-            .collect();
-        with_ids.sort_by_key(|&(id, _)| id);
-        with_ids.into_iter().map(|(_, t)| t).collect()
-    }
-
-    /// Cluster-wide TTFT distribution summary; `None` for an empty run.
-    #[must_use]
-    pub fn ttft_summary(&self) -> Option<marconi_metrics::LatencySummary> {
-        marconi_metrics::LatencySummary::new(&self.ttfts_ms())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
-    use marconi_workload::{DatasetKind, TraceGenerator};
+    use crate::{Engine, EventCluster, GpuModel};
+    use marconi_core::EvictionPolicy;
+    use marconi_model::ModelConfig;
+    use marconi_workload::{DatasetKind, Trace, TraceGenerator};
 
     fn multi_tenant_trace(seed: u64) -> Trace {
         TraceGenerator::new(DatasetKind::ShareGpt)
@@ -790,12 +394,13 @@ mod tests {
             .generate()
     }
 
-    fn cluster(n: usize, policy: RoutingPolicy, capacity: u64) -> Cluster {
-        Cluster::builder(ModelConfig::hybrid_7b())
+    fn cluster(n: usize, policy: RoutingPolicy, capacity: u64) -> EventCluster {
+        EventCluster::builder(ModelConfig::hybrid_7b())
             .replicas(n)
             .total_capacity_bytes(capacity)
             .policy(EvictionPolicy::Lru)
             .routing(policy)
+            .instantaneous()
             .build()
     }
 
@@ -804,6 +409,8 @@ mod tests {
         // The parity anchor: a cluster of one replica is the single-node
         // simulator, byte for byte, regardless of router — so everything
         // the paper-claims suite establishes about the engine transfers.
+        // Every record field but the latencies is compared: zero-time
+        // service reports zero TTFT, while the engine's is analytic.
         let trace = multi_tenant_trace(11);
         for policy in [
             EvictionPolicy::Lru,
@@ -820,21 +427,39 @@ mod tests {
             );
             let single = engine.run(&trace);
             for routing in RoutingPolicy::ALL {
-                let mut c = Cluster::builder(ModelConfig::hybrid_7b())
+                let mut c = EventCluster::builder(ModelConfig::hybrid_7b())
                     .replicas(1)
                     .total_capacity_bytes(capacity)
                     .policy(policy.clone())
                     .routing(routing)
+                    .instantaneous()
                     .build();
                 let report = c.run(&trace);
                 assert_eq!(
                     report.replicas[0].cache_stats, single.cache_stats,
                     "{routing}/{policy}: CacheStats must be byte-identical"
                 );
-                assert_eq!(
-                    report.replicas[0].records, single.records,
-                    "{routing}/{policy}: per-request records must match"
-                );
+                let got = &report.replicas[0].records;
+                assert_eq!(got.len(), single.records.len());
+                for (g, e) in got.iter().zip(&single.records) {
+                    assert_eq!(
+                        (g.id, g.session_id, g.arrival, g.input_len, g.hit_tokens),
+                        (e.id, e.session_id, e.arrival, e.input_len, e.hit_tokens),
+                        "{routing}/{policy}: per-request records must match"
+                    );
+                    assert_eq!(
+                        (g.host_hit_tokens, g.raw_matched, g.reload),
+                        (e.host_hit_tokens, e.raw_matched, e.reload),
+                        "{routing}/{policy}: req {} reuse must match",
+                        e.id
+                    );
+                    assert_eq!(
+                        (g.flops_spent, g.flops_saved),
+                        (e.flops_spent, e.flops_saved),
+                        "{routing}/{policy}: req {} FLOPs must match",
+                        e.id
+                    );
+                }
                 assert!(report.assignments.iter().all(|&i| i == 0));
             }
         }
@@ -884,10 +509,10 @@ mod tests {
 
     #[test]
     fn queue_aware_degenerates_to_prefix_aware_without_queues() {
-        // The instantaneous cluster never forms queues (queued_tokens is
-        // always 0), so queue-aware routing must reproduce prefix-aware
-        // assignments exactly — the queue tie-breaker only bites in the
-        // event-driven cluster.
+        // Zero-time service never forms queues (queued_tokens is always 0
+        // at routing time), so queue-aware routing must reproduce
+        // prefix-aware assignments exactly — the queue tie-breaker only
+        // bites under modeled service time.
         let trace = multi_tenant_trace(5);
         let run = |routing: RoutingPolicy| {
             let mut c = cluster(4, routing, 8 << 30);
@@ -905,11 +530,12 @@ mod tests {
         // must leave that replica byte-identical, even though the router
         // probed its tree.
         let model = ModelConfig::hybrid_7b();
-        let mut c = Cluster::builder(model.clone())
+        let mut c = EventCluster::builder(model.clone())
             .replicas(2)
             .total_capacity_bytes(8 << 30)
             .policy(EvictionPolicy::Lru)
             .routing(RoutingPolicy::PrefixAware)
+            .instantaneous()
             .build();
         let session_a: Vec<Token> = (0..400).collect();
         let session_b: Vec<Token> = (100_000..100_400).collect();
@@ -971,15 +597,16 @@ mod tests {
 
     #[test]
     fn host_capacity_and_reload_policy_reach_every_replica() {
-        // The build_replicas fidelity rule extended to the tier knobs: a
-        // cluster-wide host budget slices like the device capacity, and
-        // the reload policy reaches each cache.
-        let c = Cluster::builder(ModelConfig::hybrid_7b())
+        // The replica-construction fidelity rule extended to the tier
+        // knobs: a cluster-wide host budget slices like the device
+        // capacity, and the reload policy reaches each cache.
+        let c = EventCluster::builder(ModelConfig::hybrid_7b())
             .replicas(4)
             .total_capacity_bytes(16 << 30)
             .total_host_capacity_bytes(64 << 30)
             .reload_policy(marconi_core::ReloadPolicy::AlwaysReload)
             .routing(RoutingPolicy::PrefixAware)
+            .instantaneous()
             .build();
         for i in 0..4 {
             assert_eq!(c.replica_cache(i).host_capacity_bytes(), 16 << 30);
@@ -1064,7 +691,10 @@ mod tests {
         let trace = multi_tenant_trace(3);
         let mut c = cluster(4, RoutingPolicy::RoundRobin, 8 << 30);
         let report = c.run(&trace);
-        let counts = report.assignment_counts();
+        let mut counts = [0usize; 4];
+        for &idx in &report.assignments {
+            counts[idx] += 1;
+        }
         let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         assert!(max - min <= 1, "round-robin counts differ: {counts:?}");
         let imbalance = report.load_imbalance().unwrap();

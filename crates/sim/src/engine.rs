@@ -116,7 +116,6 @@ impl<C: PrefixCache> Engine<C> {
                     &self.tracer,
                     &mut self.cursors,
                     req,
-                    None,
                 )
             })
             .collect();
@@ -132,21 +131,18 @@ impl<C: PrefixCache> Engine<C> {
 /// Serves one request the instantaneous engine's way: the session-hinted
 /// lookup at arrival, reload pricing for any host-resident share, the TTFT
 /// of the uncached suffix, then admission of the full sequence, depositing
-/// the cursor it minted for the session's next request. The per-request
-/// step of both [`Engine::run`] and
-/// [`Cluster::run`](crate::Cluster::run); `replica` labels cluster
-/// replicas in trace events.
-pub(crate) fn serve_request<C: PrefixCache + ?Sized>(
+/// the cursor it minted for the session's next request: [`Engine::run`]'s
+/// per-request step.
+fn serve_request<C: PrefixCache>(
     cache: &mut C,
     gpu: &GpuModel,
     tracer: &Tracer,
     cursors: &mut CursorTable,
     req: &Request,
-    replica: Option<usize>,
 ) -> RequestRecord {
     let hint = cursors.take(req.session_id);
     let hit = cache.lookup_at_with(&req.input, req.arrival, hint);
-    let (reload_s, reload) = price_reload(&*cache, replica, gpu, tracer, &hit, req.arrival);
+    let (reload_s, reload) = price_reload(&*cache, None, gpu, tracer, &hit, req.arrival);
     let model = cache.model();
     let ttft_ms = gpu.ttft_ms(model, req.input_len(), hit.tokens_matched) + reload_s * 1e3;
     let flops_spent = model.prefill_flops_with_prefix(req.input_len(), hit.tokens_matched);
@@ -172,8 +168,8 @@ pub(crate) fn serve_request<C: PrefixCache + ?Sized>(
 
 /// Prices the host-resident share of `hit` under the cache's
 /// [`ReloadPolicy`](marconi_core::ReloadPolicy) and emits the
-/// [`TraceEvent::Reload`] decision when there is one. Shared by every
-/// modeled-latency replay loop (engine, cluster, executor) so pricing and its
+/// [`TraceEvent::Reload`] decision when there is one. Shared by both
+/// modeled-latency replay loops (engine, executor) so pricing and its
 /// telemetry cannot drift; `replica` suffixes the cache name as
 /// `name[i]`.
 pub(crate) fn price_reload<C: PrefixCache + ?Sized>(

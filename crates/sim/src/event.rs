@@ -26,10 +26,12 @@
 //! `ARCHITECTURE.md` pin this), so every claim established on the engine
 //! transfers to the event layer's zero-load limit.
 //!
-//! [`EventCluster`] shards the event layer across N replicas behind the
-//! same [`Router`] abstraction as the instantaneous cluster; the
-//! [`RoutingPolicy::QueueAware`] policy finally lets placement trade
-//! prefix locality against real-time queue depth.
+//! [`EventCluster`] shards the event layer across N replicas behind a
+//! [`Router`]; the [`RoutingPolicy::QueueAware`] policy lets placement
+//! trade prefix locality against real-time queue depth. It is the one
+//! multi-replica driver: built with
+//! [`instantaneous`](EventClusterBuilder::instantaneous) it replays in
+//! zero time, every request completing before the next arrival is routed.
 
 use crate::cluster::{route_tie_break, trace_probes, ReplicaStatus, Router, RoutingPolicy};
 use crate::executor::{BatchConfig, Executor, ServiceMode};
@@ -37,7 +39,7 @@ use crate::gpu::GpuModel;
 use marconi_core::{
     CacheStats, CheckpointMode, EvictionPolicy, HybridPrefixCache, PrefixCache, ReloadPolicy,
 };
-use marconi_metrics::{LatencySummary, Percentiles, TierSplit};
+use marconi_metrics::{LatencySummary, LoadImbalance, Percentiles, TierSplit};
 use marconi_model::ModelConfig;
 use marconi_trace::{TraceEvent, Tracer};
 use marconi_workload::Trace;
@@ -426,12 +428,13 @@ impl EventCluster {
         let n = self.replicas.len();
         let stats_before: Vec<CacheStats> = self.replicas.iter().map(|r| *r.stats()).collect();
         let mut execs: Vec<Executor<'_>> = (0..n)
-            .map(|_| {
+            .map(|k| {
                 Executor::new(
                     self.batch.clone(),
                     self.service.clone(),
                     self.tracer.clone(),
                 )
+                .for_replica(k)
             })
             .collect();
         let mut assignments = Vec::with_capacity(trace.len());
@@ -588,7 +591,12 @@ impl EventClusterBuilder {
         self
     }
 
-    /// Puts every replica in the infinite-throughput (zero-load) limit.
+    /// Puts every replica in the infinite-throughput (zero-load) limit:
+    /// each request is looked up and admitted at its arrival instant,
+    /// before the next arrival is routed, so the cluster replays like one
+    /// [`Engine`](crate::Engine) per replica. Records then report zero
+    /// TTFT; a single-tier replica's load-blind TTFT is
+    /// [`GpuModel::ttft_ms`] of a record's `input_len` and `hit_tokens`.
     #[must_use]
     pub fn instantaneous(mut self) -> Self {
         self.service = ServiceMode::Instantaneous;
@@ -622,19 +630,25 @@ impl EventClusterBuilder {
         self
     }
 
-    /// Builds the cluster.
+    /// Builds the cluster. This is the one place replica caches are
+    /// configured: every replica gets an equal `total / N` slice of both
+    /// the device capacity and the host budget, and the same
+    /// policy/checkpoint/reload knobs.
     #[must_use]
     pub fn build(self) -> EventCluster {
+        let n = self.replicas as u64;
         EventCluster {
-            replicas: crate::cluster::build_replicas(
-                &self.model,
-                self.replicas,
-                self.total_capacity,
-                self.total_host_capacity,
-                &self.policy,
-                self.checkpoint_mode,
-                self.reload_policy,
-            ),
+            replicas: (0..n)
+                .map(|_| {
+                    HybridPrefixCache::builder(self.model.clone())
+                        .capacity_bytes(self.total_capacity / n)
+                        .host_capacity_bytes(self.total_host_capacity / n)
+                        .policy(self.policy.clone())
+                        .checkpoint_mode(self.checkpoint_mode)
+                        .reload_policy(self.reload_policy)
+                        .build()
+                })
+                .collect(),
             router: self
                 .router
                 .unwrap_or_else(|| RoutingPolicy::QueueAware.build()),
@@ -711,6 +725,22 @@ impl EventClusterReport {
             .iter()
             .map(|r| r.cache_stats.input_tokens)
             .collect()
+    }
+
+    /// Load-imbalance statistics over per-replica routed input tokens.
+    #[must_use]
+    pub fn load_imbalance(&self) -> Option<LoadImbalance> {
+        let loads: Vec<f64> = self.replica_loads().iter().map(|&t| t as f64).collect();
+        LoadImbalance::new(&loads)
+    }
+
+    /// Total prefill FLOPs saved across all replicas.
+    #[must_use]
+    pub fn total_flops_saved(&self) -> u128 {
+        self.replicas
+            .iter()
+            .map(EventReport::total_flops_saved)
+            .sum()
     }
 }
 
@@ -1386,5 +1416,50 @@ mod tests {
             Some(MissCause::PinnedBystander),
             "pinned: the bystander chain was evicted while a pin diverted pressure"
         );
+    }
+
+    /// Every reload a cluster replica prices is attributed to that
+    /// replica: its `Reload` events carry the cache name suffixed `[k]`,
+    /// one per record of replica `k` whose host share was reloaded.
+    #[test]
+    fn cluster_reload_events_name_their_replica() {
+        use marconi_core::ReloadPolicy;
+        use marconi_trace::{RingRecorder, TraceEvent, Tracer};
+        let trace = TraceGenerator::new(DatasetKind::ShareGpt)
+            .sessions(16)
+            .tenants(4)
+            .seed(7)
+            .generate()
+            .time_scaled(4.0);
+        let m = ModelConfig::hybrid_7b();
+        let mut cluster = EventCluster::builder(m.clone())
+            .replicas(2)
+            .total_capacity_bytes(2 * 6000 * m.kv_bytes_per_token())
+            .total_host_capacity_bytes(32 << 30)
+            .policy(EvictionPolicy::Lru)
+            .reload_policy(ReloadPolicy::ComputeOrLoad)
+            .routing(RoutingPolicy::SessionAffinity)
+            .build();
+        let (tracer, recorder) = Tracer::to_sink(RingRecorder::new(1 << 16));
+        cluster.set_tracer(tracer);
+        let report = cluster.run(&trace);
+        let rec = recorder.lock().expect("lock: test-local recorder");
+        assert_eq!(rec.dropped(), 0, "the ring must hold the whole run");
+        for (k, replica) in report.replicas.iter().enumerate() {
+            let label = format!("{}[{k}]", cluster.replica_cache(k).name());
+            let reloads = replica
+                .records
+                .iter()
+                .filter(|r| r.reload != crate::gpu::ReloadDecision::None)
+                .count();
+            assert!(reloads > 0, "replica {k} must reload at least once");
+            let events = rec
+                .events()
+                .filter(
+                    |e| matches!(&e.event, TraceEvent::Reload { cache, .. } if **cache == *label),
+                )
+                .count();
+            assert_eq!(events, reloads, "reload events labelled {label}");
+        }
     }
 }

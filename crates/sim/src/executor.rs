@@ -125,6 +125,10 @@ pub(crate) struct Executor<'a> {
     iterations: u64,
     records: Vec<EventRecord>,
     tracer: Tracer,
+    /// Cluster replica this executor serves (`None` under
+    /// [`EventSim`](crate::EventSim)); suffixes the cache name of its
+    /// reload events as `name[i]`.
+    replica: Option<usize>,
     /// Per-session resume cursors (the PR 10 fast path): deposited by
     /// completion inserts, spent by the next admission of the same session
     /// on its lookup and pin, then re-spent on that request's completion
@@ -146,8 +150,15 @@ impl<'a> Executor<'a> {
             iterations: 0,
             records: Vec::new(),
             tracer,
+            replica: None,
             cursors: CursorTable::new(crate::engine::DEFAULT_SESSION_CURSOR_CAP),
         }
+    }
+
+    /// Labels this executor as cluster replica `index` in trace events.
+    pub(crate) fn for_replica(mut self, index: usize) -> Self {
+        self.replica = Some(index);
+        self
     }
 
     /// Queues an arriving request; starts an iteration immediately if the
@@ -298,7 +309,7 @@ impl<'a> Executor<'a> {
             let pin = cache.pin_prefix_with(&req.input, hint);
             let (reload_s, reload) = match &self.service {
                 ServiceMode::Modeled(gpu) => {
-                    crate::engine::price_reload(&*cache, None, gpu, &self.tracer, &hit, now)
+                    crate::engine::price_reload(&*cache, self.replica, gpu, &self.tracer, &hit, now)
                 }
                 // Infinite throughput also means infinite bandwidth: host
                 // hits reload in zero time, but the recorded arm still

@@ -12,11 +12,11 @@
 //! every baseline (vanilla, vLLM+, SGLang+, and the offline static-α
 //! oracle) for the paper's end-to-end experiments.
 //!
-//! Beyond the paper's single-replica setting, the [`cluster`] module shards
-//! the cache across N replicas behind a pluggable [`Router`] (round-robin,
-//! session-affinity, prefix-aware, or queue-aware placement) to study how
-//! much prefix reuse survives at cluster scale; see `ARCHITECTURE.md` for
-//! the layer's contract.
+//! Beyond the paper's single-replica setting, [`EventCluster`] shards the
+//! cache across N replicas behind a pluggable [`Router`] from the
+//! [`cluster`] module (round-robin, session-affinity, prefix-aware, or
+//! queue-aware placement) to study how much prefix reuse survives at
+//! cluster scale; see `ARCHITECTURE.md` for the layer's contract.
 //!
 //! ## The event layer (`event`)
 //!
@@ -30,8 +30,12 @@
 //! *completion*. [`EventReport`] adds what the instantaneous reports
 //! cannot see: queueing delay, load-dependent TTFT (= queue + prefill),
 //! device utilization, and goodput under an SLO. [`EventCluster`] shards
-//! it behind the same routers, whose [`ReplicaStatus`] then carries live
-//! queue depth.
+//! it behind the routers, whose [`ReplicaStatus`] then carries live queue
+//! depth; in zero-time mode
+//! ([`EventClusterBuilder::instantaneous`]) it is the multi-replica
+//! counterpart of [`Engine`]; for single-tier replicas the engine's
+//! load-blind TTFT is [`GpuModel::ttft_ms`] of each record's input and
+//! hit tokens.
 //!
 //! **Determinism guarantees:** the event layer is a pure function of
 //! `(trace, cache config, BatchConfig, ServiceMode)` — no wall clock and
@@ -72,8 +76,7 @@ mod gpu;
 mod report;
 
 pub use cluster::{
-    Cluster, ClusterBuilder, ClusterReport, PrefixAware, QueueAware, ReplicaStatus, RoundRobin,
-    Router, RoutingPolicy, SessionAffinity,
+    PrefixAware, QueueAware, ReplicaStatus, RoundRobin, Router, RoutingPolicy, SessionAffinity,
 };
 pub use comparison::{Comparison, ComparisonResult, SystemKind};
 pub use engine::Engine;

@@ -95,8 +95,8 @@ impl SimReport {
 
     /// TTFT distribution summary (p50/p95/p99/mean); `None` for an empty
     /// run. The same view [`EventReport`](crate::EventReport) and
-    /// [`ClusterReport`](crate::ClusterReport) expose, so instantaneous
-    /// and event-driven runs compare side by side.
+    /// [`EventClusterReport`](crate::EventClusterReport) expose, so
+    /// instantaneous and event-driven runs compare side by side.
     #[must_use]
     pub fn ttft_summary(&self) -> Option<LatencySummary> {
         LatencySummary::new(&self.ttfts_ms())

@@ -12,6 +12,10 @@
 //! histories scatter across replicas) while prefix-aware holds close to the
 //! single-node hit rate.
 //!
+//! The cluster replays in zero time, like the single-node `Engine`; the
+//! P95 TTFT column is the analytic load-blind TTFT of each request's
+//! uncached prefill on a 4×A100 replica.
+//!
 //! Run with: `cargo run --release --example cluster_serving`
 
 use marconi::prelude::*;
@@ -35,6 +39,8 @@ fn main() {
         trace.duration()
     );
     println!("total capacity: 2 GB, split evenly across replicas\n");
+    let model = ModelConfig::hybrid_7b();
+    let gpu = GpuModel::a100_x4();
 
     println!(
         "{:<10} {:<18} {:>10} {:>14} {:>12} {:>10}",
@@ -42,14 +48,20 @@ fn main() {
     );
     for &n in &[1usize, 2, 4, 8] {
         for routing in RoutingPolicy::ALL {
-            let mut cluster = Cluster::builder(ModelConfig::hybrid_7b())
+            let mut cluster = EventCluster::builder(model.clone())
                 .replicas(n)
                 .total_capacity_bytes(2 * GB)
                 .policy(EvictionPolicy::FlopAware { alpha: 2.0 })
                 .routing(routing)
+                .instantaneous()
                 .build();
             let report = cluster.run(&trace);
-            let ttfts = report.ttfts_ms();
+            let ttfts: Vec<f64> = report
+                .replicas
+                .iter()
+                .flat_map(|r| &r.records)
+                .map(|r| gpu.ttft_ms(&model, r.input_len, r.hit_tokens))
+                .collect();
             let p95 = Percentiles::new(&ttfts).map_or(f64::NAN, |p| p.quantile(0.95));
             println!(
                 "{:<10} {:<18} {:>9.1}% {:>13.2e} {:>12.2} {:>8.0}ms",

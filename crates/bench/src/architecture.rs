@@ -54,7 +54,7 @@ fn run_model(model: ModelConfig, label: String, trace: &Trace, ws_fraction: f64)
     let rate = |s| {
         result
             .report(s)
-            .map(|r: &marconi_sim::SimReport| r.token_hit_rate())
+            .map(|r: &marconi_sim::EventReport| r.token_hit_rate())
             .unwrap_or(0.0)
     };
     ArchPoint {

@@ -46,7 +46,7 @@ fn run_arrival(arrival: ArrivalConfig, label: String, cache_gb: u64) -> ArrivalP
     let rate = |s| {
         result
             .report(s)
-            .map(|r: &marconi_sim::SimReport| r.token_hit_rate())
+            .map(|r: &marconi_sim::EventReport| r.token_hit_rate())
             .unwrap_or(0.0)
     };
     ArrivalPoint {

@@ -429,6 +429,7 @@ mod tests {
     use super::*;
     use crate::EvictionPolicy;
     use marconi_workload::{DatasetKind, TraceGenerator};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn seeded_trace(seed: u64) -> marconi_workload::Trace {
         TraceGenerator::new(DatasetKind::Lmsys)
@@ -551,28 +552,42 @@ mod tests {
         }
 
         let hammered = ShardedCache::new(builder(capacity), 1);
-        let stop = std::sync::atomic::AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
+        // The two probes take the shard lock separately, so a write landing
+        // between them legitimately changes the answer. Seqlock-style, the
+        // writer keeps `writes` odd while a request is in flight, and a
+        // reader compares a probe pair only when `writes` was even and
+        // unchanged around it. Each reader keeps going until it has
+        // compared at least one pair, so the check is never vacuous.
+        let writes = AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..4 {
                 let hammered = &hammered;
-                let stop = &stop;
+                let (stop, writes) = (&stop, &writes);
                 let trace = &trace;
                 s.spawn(move || {
-                    let mut i = t;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let (mut i, mut compared) = (t, 0u64);
+                    while !stop.load(Ordering::SeqCst) || compared == 0 {
                         let req = &trace.requests[i % trace.requests.len()];
+                        let before = writes.load(Ordering::SeqCst);
                         let len = hammered.longest_cached_prefix_len(&req.input);
                         let tiers = hammered.probe_tiers(&req.input);
-                        assert_eq!(tiers.tokens, len, "probe contract broken under threads");
+                        if before % 2 == 0 && writes.load(Ordering::SeqCst) == before {
+                            assert_eq!(tiers.tokens, len, "probe contract broken under threads");
+                            compared += 1;
+                        }
                         i += 1;
                     }
                 });
             }
             for req in &trace.requests {
+                writes.fetch_add(1, Ordering::SeqCst);
                 hammered.lookup_at(&req.input, req.arrival);
                 hammered.insert_at(&req.input, &req.output, req.arrival);
+                writes.fetch_add(1, Ordering::SeqCst);
+                std::thread::yield_now();
             }
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            stop.store(true, Ordering::SeqCst);
         });
 
         assert_eq!(

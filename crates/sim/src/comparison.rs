@@ -2,7 +2,7 @@
 
 use crate::engine::Engine;
 use crate::gpu::GpuModel;
-use crate::report::SimReport;
+use crate::report::EventReport;
 use marconi_core::oracle::{best_static_alpha, SequenceEvent};
 use marconi_core::{
     BlockCache, BlockReuseReport, EvictionPolicy, HybridPrefixCache, PrefixCache, TunerConfig,
@@ -78,7 +78,7 @@ pub struct Comparison {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ComparisonResult {
     /// `(system, report)` pairs in the order systems were configured.
-    pub reports: Vec<(SystemKind, SimReport)>,
+    pub reports: Vec<(SystemKind, EventReport)>,
     /// Block-reuse accounting when vLLM+ was among the systems (Fig. 3a).
     pub block_reuse: Option<BlockReuseReport>,
     /// The α the oracle chose, when it ran.
@@ -88,7 +88,7 @@ pub struct ComparisonResult {
 impl ComparisonResult {
     /// The report for one system, if it was run.
     #[must_use]
-    pub fn report(&self, system: SystemKind) -> Option<&SimReport> {
+    pub fn report(&self, system: SystemKind) -> Option<&EventReport> {
         self.reports
             .iter()
             .find(|(s, _)| *s == system)
@@ -229,7 +229,7 @@ impl Comparison {
         }
     }
 
-    fn run_one<C: PrefixCache>(&self, cache: C, trace: &Trace) -> SimReport {
+    fn run_one<C: PrefixCache>(&self, cache: C, trace: &Trace) -> EventReport {
         Engine::new(cache, self.gpu.clone()).run(trace)
     }
 }

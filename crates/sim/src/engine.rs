@@ -1,7 +1,7 @@
 //! The replay engine.
 
 use crate::gpu::{GpuModel, ReloadDecision};
-use crate::report::{RequestRecord, SimReport};
+use crate::report::{EventRecord, EventReport};
 use marconi_core::{CursorTable, LookupResult, PrefixCache};
 use marconi_trace::{ReloadDecision as TraceReload, TraceEvent, Tracer};
 use marconi_workload::{Request, Trace};
@@ -20,21 +20,21 @@ pub(crate) const DEFAULT_SESSION_CURSOR_CAP: usize = 4096;
 /// 3. after the (simulated) decode, admit the full sequence's states.
 ///
 /// Requests are processed in arrival order, like the paper's artifact
-/// simulator.
+/// simulator. The report is the event drivers' [`EventReport`] with
+/// zero-load values (see [`EventRecord`]): no queueing, no batching, and
+/// every request admitted and completed at its arrival.
 ///
 /// # Examples
 ///
 /// ```
-/// use marconi_core::{HybridPrefixCache, PrefixCache};
+/// use marconi_core::HybridPrefixCache;
 /// use marconi_model::ModelConfig;
 /// use marconi_sim::{Engine, GpuModel};
 /// use marconi_workload::{DatasetKind, TraceGenerator};
 ///
-/// let cache: Box<dyn PrefixCache> = Box::new(
-///     HybridPrefixCache::builder(ModelConfig::hybrid_7b())
-///         .capacity_bytes(8 << 30)
-///         .build(),
-/// );
+/// let cache = HybridPrefixCache::builder(ModelConfig::hybrid_7b())
+///     .capacity_bytes(8 << 30)
+///     .build();
 /// let mut engine = Engine::new(cache, GpuModel::a100_x4());
 /// let trace = TraceGenerator::new(DatasetKind::ShareGpt)
 ///     .sessions(3)
@@ -42,6 +42,7 @@ pub(crate) const DEFAULT_SESSION_CURSOR_CAP: usize = 4096;
 ///     .generate();
 /// let report = engine.run(&trace);
 /// assert_eq!(report.records.len(), trace.len());
+/// assert!(report.records.iter().all(|r| r.queue_ms == 0.0));
 /// ```
 #[derive(Debug)]
 pub struct Engine<C> {
@@ -57,8 +58,6 @@ pub struct Engine<C> {
 
 impl<C: PrefixCache> Engine<C> {
     /// Creates an engine around a cache and a device model.
-    ///
-    /// `C` may be a concrete cache type or `Box<dyn PrefixCache>`.
     #[must_use]
     pub fn new(cache: C, gpu: GpuModel) -> Self {
         Engine {
@@ -91,12 +90,6 @@ impl<C: PrefixCache> Engine<C> {
         &self.cache
     }
 
-    /// Consumes the engine and returns the cache.
-    #[must_use]
-    pub fn into_cache(self) -> C {
-        self.cache
-    }
-
     /// Replays `trace` and produces the per-request report.
     ///
     /// A hit whose prefix is partly host-resident additionally charges the
@@ -105,7 +98,7 @@ impl<C: PrefixCache> Engine<C> {
     /// top of the uncached-suffix prefill, and the per-request record
     /// carries which arm was taken. Single-tier caches never report host
     /// bytes, so their TTFTs are unchanged.
-    pub fn run(&mut self, trace: &Trace) -> SimReport {
+    pub fn run(&mut self, trace: &Trace) -> EventReport {
         let records = trace
             .requests
             .iter()
@@ -119,12 +112,14 @@ impl<C: PrefixCache> Engine<C> {
                 )
             })
             .collect();
-        SimReport {
-            system: self.cache.name().to_owned(),
-            trace: trace.name.clone(),
+        EventReport::new(
+            self.cache.name().to_owned(),
+            trace,
             records,
-            cache_stats: *self.cache.stats(),
-        }
+            *self.cache.stats(),
+            0.0,
+            0,
+        )
     }
 }
 
@@ -139,7 +134,7 @@ fn serve_request<C: PrefixCache>(
     tracer: &Tracer,
     cursors: &mut CursorTable,
     req: &Request,
-) -> RequestRecord {
+) -> EventRecord {
     let hint = cursors.take(req.session_id);
     let hit = cache.lookup_at_with(&req.input, req.arrival, hint);
     let (reload_s, reload) = price_reload(&*cache, None, gpu, tracer, &hit, req.arrival);
@@ -150,15 +145,19 @@ fn serve_request<C: PrefixCache>(
     if let Some(cursor) = next {
         cursors.put(req.session_id, cursor);
     }
-    RequestRecord {
+    EventRecord {
         id: req.id,
         session_id: req.session_id,
         arrival: req.arrival,
+        admitted: req.arrival,
+        completed: req.arrival,
         input_len: req.input_len(),
         hit_tokens: hit.tokens_matched,
         host_hit_tokens: hit.host_tokens,
         raw_matched: hit.raw_matched,
+        queue_ms: 0.0,
         ttft_ms,
+        e2e_ms: ttft_ms,
         reload_ms: reload_s * 1e3,
         reload,
         flops_spent,

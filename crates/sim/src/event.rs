@@ -22,9 +22,9 @@
 //! events before arrivals, then by replica index, then FIFO. The
 //! zero-load anchor: [`ServiceMode::Instantaneous`] with empty queues
 //! reproduces the instantaneous `Engine` **byte-for-byte** (identical
-//! `CacheStats` and per-request hit tokens — the parity tests below and
-//! `ARCHITECTURE.md` pin this), so every claim established on the engine
-//! transfers to the event layer's zero-load limit.
+//! `CacheStats` and every non-latency record field — the parity tests
+//! below and `ARCHITECTURE.md` pin this), so every claim established on
+//! the engine transfers to the event layer's zero-load limit.
 //!
 //! [`EventCluster`] shards the event layer across N replicas behind a
 //! [`Router`]; the [`RoutingPolicy::QueueAware`] policy lets placement
@@ -36,163 +36,12 @@
 use crate::cluster::{route_tie_break, trace_probes, ReplicaStatus, Router, RoutingPolicy};
 use crate::executor::{BatchConfig, Executor, ServiceMode};
 use crate::gpu::GpuModel;
-use marconi_core::{
-    CacheStats, CheckpointMode, EvictionPolicy, HybridPrefixCache, PrefixCache, ReloadPolicy,
-};
-use marconi_metrics::{LatencySummary, LoadImbalance, Percentiles, TierSplit};
+use crate::report::EventReport;
+use marconi_core::{CacheStats, EvictionPolicy, HybridPrefixCache, PrefixCache, ReloadPolicy};
+use marconi_metrics::{LatencySummary, LoadImbalance, TierSplit};
 use marconi_model::ModelConfig;
 use marconi_trace::{TraceEvent, Tracer};
-use marconi_workload::Trace;
-use serde::{Deserialize, Serialize};
-
-/// One request's outcome in a discrete-event run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EventRecord {
-    /// Request id (arrival order within the trace).
-    pub id: u64,
-    /// Session the request belonged to.
-    pub session_id: u64,
-    /// Arrival time in virtual seconds.
-    pub arrival: f64,
-    /// When the request left the FIFO queue for a batch slot.
-    pub admitted: f64,
-    /// When its last decode token finished (cache admission time).
-    pub completed: f64,
-    /// Prefill length in tokens.
-    pub input_len: u64,
-    /// Tokens served from cache at admission.
-    pub hit_tokens: u64,
-    /// The subset of [`hit_tokens`](EventRecord::hit_tokens) that was
-    /// host-resident at admission (reloaded or recomputed per the cache's
-    /// reload policy).
-    pub host_hit_tokens: u64,
-    /// Raw longest match ignoring SSM checkpoint constraints (diagnostic).
-    pub raw_matched: u64,
-    /// Queueing delay in milliseconds (admitted − arrival).
-    pub queue_ms: f64,
-    /// Time to first token in milliseconds: queueing delay + reload +
-    /// prefill service (the load-dependent generalization of the engine's
-    /// analytic TTFT).
-    pub ttft_ms: f64,
-    /// End-to-end latency in milliseconds (completed − arrival).
-    pub e2e_ms: f64,
-    /// Latency charged at admission for the host-resident share of the
-    /// hit, in milliseconds.
-    pub reload_ms: f64,
-    /// Which compute-or-load arm served the host share.
-    pub reload: crate::gpu::ReloadDecision,
-    /// Prefill FLOPs actually spent.
-    pub flops_spent: u128,
-    /// Prefill FLOPs skipped thanks to the cache.
-    pub flops_saved: u128,
-}
-
-/// Aggregate result of one discrete-event run on one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EventReport {
-    /// System name (the cache's).
-    pub system: String,
-    /// Trace name the run used.
-    pub trace: String,
-    /// Per-request outcomes, sorted by request id (arrival order).
-    pub records: Vec<EventRecord>,
-    /// The cache's cumulative statistics after the run.
-    pub cache_stats: CacheStats,
-    /// Virtual seconds the device spent executing iterations.
-    pub busy_s: f64,
-    /// Batching iterations executed (the discrete-event count).
-    pub iterations: u64,
-    /// Virtual time of the last completion (trace start is 0).
-    pub makespan_s: f64,
-}
-
-impl EventReport {
-    /// Per-request TTFTs in milliseconds, in arrival order.
-    #[must_use]
-    pub fn ttfts_ms(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.ttft_ms).collect()
-    }
-
-    /// Per-request queueing delays in milliseconds, in arrival order.
-    #[must_use]
-    pub fn queue_delays_ms(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.queue_ms).collect()
-    }
-
-    /// TTFT percentile in milliseconds; `None` for an empty run.
-    #[must_use]
-    pub fn ttft_percentile_ms(&self, q: f64) -> Option<f64> {
-        Percentiles::new(&self.ttfts_ms()).map(|p| p.quantile(q))
-    }
-
-    /// TTFT distribution summary; `None` for an empty run.
-    #[must_use]
-    pub fn ttft_summary(&self) -> Option<LatencySummary> {
-        LatencySummary::new(&self.ttfts_ms())
-    }
-
-    /// Queueing-delay distribution summary; `None` for an empty run.
-    #[must_use]
-    pub fn queue_summary(&self) -> Option<LatencySummary> {
-        LatencySummary::new(&self.queue_delays_ms())
-    }
-
-    /// Device utilization: busy time over the makespan, in `[0, 1]`
-    /// (0.0 for an empty or instantaneous run).
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        if self.makespan_s <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_s / self.makespan_s).min(1.0)
-    }
-
-    /// Fraction of requests whose TTFT met `slo_ms`; `None` for an empty
-    /// run.
-    #[must_use]
-    pub fn slo_attainment(&self, slo_ms: f64) -> Option<f64> {
-        Percentiles::new(&self.ttfts_ms()).map(|p| p.fraction_le(slo_ms))
-    }
-
-    /// Goodput: SLO-meeting requests per virtual second of makespan
-    /// (0.0 for an empty run; an instantaneous run reports the trace's
-    /// own arrival rate, since every request trivially meets the SLO).
-    #[must_use]
-    pub fn goodput_rps(&self, slo_ms: f64) -> f64 {
-        if self.makespan_s <= 0.0 {
-            return 0.0;
-        }
-        let met = self.records.iter().filter(|r| r.ttft_ms <= slo_ms).count();
-        met as f64 / self.makespan_s
-    }
-
-    /// Token hit rate from the cache's counters.
-    #[must_use]
-    pub fn token_hit_rate(&self) -> f64 {
-        self.cache_stats.token_hit_rate()
-    }
-
-    /// Hit tokens split by the memory tier that served them.
-    #[must_use]
-    pub fn hit_tier_split(&self) -> TierSplit {
-        TierSplit {
-            device: self.cache_stats.device_hit_tokens(),
-            host: self.cache_stats.host_hit_tokens,
-        }
-    }
-
-    /// Total reload latency charged across the run, in milliseconds.
-    #[must_use]
-    pub fn total_reload_ms(&self) -> f64 {
-        self.records.iter().map(|r| r.reload_ms).sum()
-    }
-
-    /// Total prefill FLOPs saved across the run.
-    #[must_use]
-    pub fn total_flops_saved(&self) -> u128 {
-        self.records.iter().map(|r| r.flops_saved).sum()
-    }
-}
+use marconi_workload::{Request, Trace};
 
 /// Discrete-event serving simulator for one device: FIFO admission queue
 /// in front of a continuous-batching executor, driving any
@@ -231,12 +80,7 @@ impl<C: PrefixCache> EventSim<C> {
     /// Creates a simulator whose iteration latencies come from `gpu`.
     #[must_use]
     pub fn new(cache: C, gpu: GpuModel) -> Self {
-        EventSim {
-            cache,
-            service: ServiceMode::Modeled(gpu),
-            batch: BatchConfig::default(),
-            tracer: Tracer::off(),
-        }
+        Self::with_service(cache, ServiceMode::Modeled(gpu))
     }
 
     /// Creates a simulator in the infinite-throughput limit: every
@@ -245,9 +89,13 @@ impl<C: PrefixCache> EventSim<C> {
     /// byte-for-byte (the zero-load parity contract).
     #[must_use]
     pub fn instantaneous(cache: C) -> Self {
+        Self::with_service(cache, ServiceMode::Instantaneous)
+    }
+
+    fn with_service(cache: C, service: ServiceMode) -> Self {
         EventSim {
             cache,
-            service: ServiceMode::Instantaneous,
+            service,
             batch: BatchConfig::default(),
             tracer: Tracer::off(),
         }
@@ -278,12 +126,6 @@ impl<C: PrefixCache> EventSim<C> {
         &self.cache
     }
 
-    /// Consumes the simulator and returns the cache.
-    #[must_use]
-    pub fn into_cache(self) -> C {
-        self.cache
-    }
-
     /// Replays `trace` under the virtual clock and returns the report.
     ///
     /// Arrivals feed the FIFO queue as events; the executor's iteration
@@ -293,40 +135,56 @@ impl<C: PrefixCache> EventSim<C> {
     /// the engine's per-request lookup→insert order in the zero-load
     /// limit). Cache state persists across calls, like `Engine`.
     pub fn run(&mut self, trace: &Trace) -> EventReport {
-        let mut exec = Executor::new(
+        let mut execs = [Executor::new(
             self.batch.clone(),
             self.service.clone(),
             self.tracer.clone(),
+        )];
+        drive(
+            std::slice::from_mut(&mut self.cache),
+            &mut execs,
+            trace,
+            |_, _, _| 0,
         );
-        let mut arrivals = trace.arrivals().peekable();
-        loop {
-            let arrival = arrivals.peek().map(|r| r.arrival);
-            match (exec.next_event(), arrival) {
-                (Some(te), Some(ta)) if te <= ta => exec.advance(&mut self.cache, te),
-                (_, Some(ta)) => {
-                    let req = arrivals
-                        .next()
-                        .expect("invariant: the peeked arrival is still in the iterator");
-                    exec.enqueue(req, &mut self.cache, ta);
-                }
-                (Some(te), None) => exec.advance(&mut self.cache, te),
-                (None, None) => break,
+        let [exec] = execs;
+        exec.into_report(self.cache.name().to_owned(), trace, *self.cache.stats())
+    }
+}
+
+/// The one event loop both drivers run: merges every executor's iteration
+/// boundaries with the trace's arrivals on one virtual clock. At equal
+/// timestamps an executor event fires before an arrival, a lower executor
+/// index before a higher one, and arrivals join in trace (FIFO) order.
+/// `route` picks the executor each arrival joins, seeing every cache and
+/// executor as they stand at the arrival instant.
+fn drive<'t, C: PrefixCache>(
+    caches: &mut [C],
+    execs: &mut [Executor<'t>],
+    trace: &'t Trace,
+    mut route: impl FnMut(&'t Request, &[C], &[Executor<'t>]) -> usize,
+) {
+    let mut arrivals = trace.arrivals().peekable();
+    loop {
+        let exec_event = execs
+            .iter()
+            .enumerate()
+            .filter_map(|(k, e)| e.next_event().map(|t| (k, t)))
+            .min_by(|(ka, ta), (kb, tb)| ta.total_cmp(tb).then(ka.cmp(kb)));
+        match (exec_event, arrivals.peek()) {
+            (None, None) => break,
+            (Some((k, te)), next) if next.is_none_or(|r| te <= r.arrival) => {
+                execs[k].advance(&mut caches[k], te);
+            }
+            _ => {
+                let req = arrivals
+                    .next()
+                    .expect("invariant: an arrival is pending when no executor event is due");
+                let k = route(req, caches, execs);
+                execs[k].enqueue(req, &mut caches[k], req.arrival);
             }
         }
-        debug_assert!(exec.is_idle());
-        let mut records = exec.take_records();
-        records.sort_by_key(|r| r.id);
-        let makespan_s = records.iter().fold(0.0f64, |m, r| m.max(r.completed));
-        EventReport {
-            system: self.cache.name().to_owned(),
-            trace: trace.name.clone(),
-            records,
-            cache_stats: *self.cache.stats(),
-            busy_s: exec.busy_s(),
-            iterations: exec.iterations(),
-            makespan_s,
-        }
     }
+    debug_assert!(execs.iter().all(Executor::is_idle));
 }
 
 /// N event-driven replicas — each its own FIFO queue, executor, and cache
@@ -377,7 +235,6 @@ impl EventCluster {
             total_host_capacity: 0,
             reload_policy: ReloadPolicy::default(),
             policy: EvictionPolicy::default(),
-            checkpoint_mode: CheckpointMode::Exact,
             service: ServiceMode::Modeled(GpuModel::a100_x4()),
             batch: BatchConfig::default(),
             router: None,
@@ -398,12 +255,6 @@ impl EventCluster {
     #[must_use]
     pub fn replica_cache(&self, index: usize) -> &HybridPrefixCache {
         &self.replicas[index]
-    }
-
-    /// The active router's name.
-    #[must_use]
-    pub fn router_name(&self) -> &str {
-        self.router.name()
     }
 
     /// Attaches a tracer to the cluster layer's own decisions (routing
@@ -438,74 +289,49 @@ impl EventCluster {
             })
             .collect();
         let mut assignments = Vec::with_capacity(trace.len());
-        let mut arrivals = trace.arrivals().peekable();
-        loop {
-            let exec_event = execs
-                .iter()
-                .enumerate()
-                .filter_map(|(k, e)| e.next_event().map(|t| (k, t)))
-                .min_by(|(ka, ta), (kb, tb)| ta.total_cmp(tb).then(ka.cmp(kb)));
-            let arrival = arrivals.peek().map(|r| r.arrival);
-            match (exec_event, arrival) {
-                (Some((k, te)), Some(ta)) if te <= ta => {
-                    execs[k].advance(&mut self.replicas[k], te);
+        drive(
+            &mut self.replicas,
+            &mut execs,
+            trace,
+            |req, caches, execs| {
+                let statuses: Vec<ReplicaStatus<'_>> = caches
+                    .iter()
+                    .zip(execs)
+                    .enumerate()
+                    .map(|(idx, (cache, exec))| {
+                        ReplicaStatus::new(idx, cache, exec.outstanding_tokens())
+                    })
+                    .collect();
+                let idx = self.router.route(req, &statuses);
+                assert!(
+                    idx < n,
+                    "router {} picked replica {idx} of {n}",
+                    self.router.name()
+                );
+                if self.tracer.is_enabled() {
+                    let probes = trace_probes(req, &statuses);
+                    let tie_break = route_tie_break(self.router.name(), &probes);
+                    self.tracer.emit(|| TraceEvent::RouterDecision {
+                        ts: req.arrival,
+                        request: req.id,
+                        chosen: idx as u64,
+                        tie_break,
+                        probes,
+                    });
                 }
-                (_, Some(ta)) => {
-                    let req = arrivals
-                        .next()
-                        .expect("invariant: the peeked arrival is still in the iterator");
-                    let statuses: Vec<ReplicaStatus<'_>> = self
-                        .replicas
-                        .iter()
-                        .zip(&execs)
-                        .enumerate()
-                        .map(|(idx, (cache, exec))| {
-                            ReplicaStatus::new(idx, cache, exec.outstanding_tokens())
-                        })
-                        .collect();
-                    let idx = self.router.route(req, &statuses);
-                    assert!(
-                        idx < n,
-                        "router {} picked replica {idx} of {n}",
-                        self.router.name()
-                    );
-                    if self.tracer.is_enabled() {
-                        let probes = trace_probes(req, &statuses);
-                        let tie_break = route_tie_break(self.router.name(), &probes);
-                        self.tracer.emit(|| TraceEvent::RouterDecision {
-                            ts: ta,
-                            request: req.id,
-                            chosen: idx as u64,
-                            tie_break,
-                            probes,
-                        });
-                    }
-                    execs[idx].enqueue(req, &mut self.replicas[idx], ta);
-                    assignments.push(idx);
-                }
-                (Some((k, te)), None) => execs[k].advance(&mut self.replicas[k], te),
-                (None, None) => break,
-            }
-        }
+                assignments.push(idx);
+                idx
+            },
+        );
         let replicas = self
             .replicas
             .iter()
-            .zip(&mut execs)
+            .zip(execs)
             .zip(stats_before)
             .enumerate()
             .map(|(i, ((cache, exec), before))| {
-                let mut records = exec.take_records();
-                records.sort_by_key(|r| r.id);
-                let makespan_s = records.iter().fold(0.0f64, |m, r| m.max(r.completed));
-                EventReport {
-                    system: format!("{}[{i}]", cache.name()),
-                    trace: trace.name.clone(),
-                    records,
-                    cache_stats: cache.stats().delta_since(&before),
-                    busy_s: exec.busy_s(),
-                    iterations: exec.iterations(),
-                    makespan_s,
-                }
+                let stats = cache.stats().delta_since(&before);
+                exec.into_report(format!("{}[{i}]", cache.name()), trace, stats)
             })
             .collect();
         EventClusterReport {
@@ -526,7 +352,6 @@ pub struct EventClusterBuilder {
     total_host_capacity: u64,
     reload_policy: ReloadPolicy,
     policy: EvictionPolicy,
-    checkpoint_mode: CheckpointMode,
     service: ServiceMode,
     batch: BatchConfig,
     router: Option<Box<dyn Router>>,
@@ -573,14 +398,6 @@ impl EventClusterBuilder {
     #[must_use]
     pub fn policy(mut self, policy: EvictionPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Sets every replica's SSM checkpoint mode (default
-    /// [`CheckpointMode::Exact`]).
-    #[must_use]
-    pub fn checkpoint_mode(mut self, mode: CheckpointMode) -> Self {
-        self.checkpoint_mode = mode;
         self
     }
 
@@ -633,7 +450,7 @@ impl EventClusterBuilder {
     /// Builds the cluster. This is the one place replica caches are
     /// configured: every replica gets an equal `total / N` slice of both
     /// the device capacity and the host budget, and the same
-    /// policy/checkpoint/reload knobs.
+    /// eviction and reload policies.
     #[must_use]
     pub fn build(self) -> EventCluster {
         let n = self.replicas as u64;
@@ -644,7 +461,6 @@ impl EventClusterBuilder {
                         .capacity_bytes(self.total_capacity / n)
                         .host_capacity_bytes(self.total_host_capacity / n)
                         .policy(self.policy.clone())
-                        .checkpoint_mode(self.checkpoint_mode)
                         .reload_policy(self.reload_policy)
                         .build()
                 })
@@ -747,7 +563,9 @@ impl EventClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::tests::{assert_engine_zero_load, without_latencies};
     use crate::Engine;
+    use marconi_metrics::Percentiles;
     use marconi_workload::{DatasetKind, TraceGenerator};
 
     fn sharegpt(sessions: usize, seed: u64) -> Trace {
@@ -769,7 +587,7 @@ mod tests {
         // THE parity contract: at infinite throughput and empty queues the
         // event simulator must reproduce the instantaneous Engine
         // byte-for-byte — identical CacheStats (including eviction counts
-        // under contention) and identical per-request hit tokens — for
+        // under contention) and every non-latency record field — for
         // every eviction policy family.
         let trace = sharegpt(24, 2);
         for policy in [
@@ -783,6 +601,7 @@ mod tests {
             let mut engine =
                 Engine::new(marconi_cache(capacity, policy.clone()), GpuModel::a100_x4());
             let expected = engine.run(&trace);
+            assert_engine_zero_load(&expected);
             let mut sim = EventSim::instantaneous(marconi_cache(capacity, policy.clone()));
             let got = sim.run(&trace);
             assert_eq!(
@@ -791,14 +610,14 @@ mod tests {
             );
             assert_eq!(got.records.len(), expected.records.len());
             for (e, g) in expected.records.iter().zip(&got.records) {
-                assert_eq!(e.id, g.id, "{policy:?}: record order");
-                assert_eq!(e.hit_tokens, g.hit_tokens, "{policy:?}: req {}", e.id);
-                assert_eq!(e.raw_matched, g.raw_matched, "{policy:?}: req {}", e.id);
-                assert_eq!(e.flops_saved, g.flops_saved, "{policy:?}: req {}", e.id);
-                assert_eq!(e.flops_spent, g.flops_spent, "{policy:?}: req {}", e.id);
-                assert_eq!(g.queue_ms, 0.0, "zero load means empty queues");
-                assert_eq!(g.arrival, g.completed, "instantaneous completion");
+                assert_eq!(
+                    without_latencies(g),
+                    without_latencies(e),
+                    "{policy:?}: req {}",
+                    e.id
+                );
             }
+            assert_eq!(got.makespan_s, expected.makespan_s);
         }
     }
 
@@ -814,6 +633,8 @@ mod tests {
             GpuModel::a100_x4(),
         );
         let expected = engine.run(&trace);
+        assert_engine_zero_load(&expected);
+        let sim = EventSim::instantaneous(marconi_cache(capacity, EvictionPolicy::Lru)).run(&trace);
         for routing in RoutingPolicy::ALL {
             let mut cluster = EventCluster::builder(ModelConfig::hybrid_7b())
                 .replicas(1)
@@ -823,17 +644,28 @@ mod tests {
                 .routing(routing)
                 .build();
             let report = cluster.run(&trace);
+            let replica = &report.replicas[0];
             assert_eq!(
-                report.replicas[0].cache_stats, expected.cache_stats,
+                replica.cache_stats, expected.cache_stats,
                 "{routing}: CacheStats must match the engine"
             );
-            let hits: Vec<u64> = report.replicas[0]
-                .records
-                .iter()
-                .map(|r| r.hit_tokens)
-                .collect();
-            let expected_hits: Vec<u64> = expected.records.iter().map(|r| r.hit_tokens).collect();
-            assert_eq!(hits, expected_hits, "{routing}: per-request hit tokens");
+            assert_eq!(
+                replica.records, sim.records,
+                "{routing}: records match EventSim"
+            );
+            assert_eq!(
+                (replica.iterations, replica.makespan_s),
+                (sim.iterations, sim.makespan_s)
+            );
+            assert_eq!(replica.records.len(), expected.records.len());
+            for (g, e) in replica.records.iter().zip(&expected.records) {
+                assert_eq!(
+                    without_latencies(g),
+                    without_latencies(e),
+                    "{routing}: req {}",
+                    e.id
+                );
+            }
             assert!(report.assignments.iter().all(|&i| i == 0));
         }
     }

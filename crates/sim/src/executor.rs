@@ -15,11 +15,11 @@
 //! wall clock, no randomness — iteration durations come from the analytic
 //! device model, ties resolve in FIFO admission order.
 
-use crate::event::EventRecord;
 use crate::gpu::{GpuModel, ReloadDecision};
-use marconi_core::{CursorTable, PinTicket, PrefixCache, SessionCursor};
+use crate::report::{EventRecord, EventReport};
+use marconi_core::{CacheStats, CursorTable, PinTicket, PrefixCache, SessionCursor};
 use marconi_trace::{TraceEvent, Tracer};
-use marconi_workload::Request;
+use marconi_workload::{Request, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -198,19 +198,17 @@ impl<'a> Executor<'a> {
                 .sum::<u64>()
     }
 
-    /// Virtual seconds the device spent executing iterations.
-    pub(crate) fn busy_s(&self) -> f64 {
-        self.busy_s
-    }
-
-    /// Iterations executed (the discrete-event count).
-    pub(crate) fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// Completed-request records, in completion order.
-    pub(crate) fn take_records(&mut self) -> Vec<EventRecord> {
-        std::mem::take(&mut self.records)
+    /// Closes this executor's run: its records in request-id order, its
+    /// busy time and its iteration count.
+    pub(crate) fn into_report(
+        mut self,
+        system: String,
+        trace: &Trace,
+        cache_stats: CacheStats,
+    ) -> EventReport {
+        self.records.sort_by_key(|r| r.id);
+        let (busy_s, iterations) = (self.busy_s, self.iterations);
+        EventReport::new(system, trace, self.records, cache_stats, busy_s, iterations)
     }
 
     /// Completes the iteration ending at `now`: applies its scheduled
@@ -432,7 +430,8 @@ mod tests {
             0,
             "drained executor must owe no queued or running tokens"
         );
-        assert_eq!(ex.take_records().len(), trace.requests.len());
+        let report = ex.into_report(String::new(), &trace, CacheStats::default());
+        assert_eq!(report.records.len(), trace.requests.len());
     }
 
     /// The debug guard on admission catches queue-accounting drift (a

@@ -1,8 +1,9 @@
 //! Trace-driven serving simulator for hybrid-LLM prefix caching.
 //!
 //! Replays a [`marconi_workload::Trace`] against any
-//! [`marconi_core::PrefixCache`], producing per-request records (hit
-//! tokens, FLOPs, TTFT) and aggregate reports. TTFT comes from an analytic
+//! [`marconi_core::PrefixCache`], producing per-request [`EventRecord`]s
+//! (hit tokens, FLOPs, TTFT) in an aggregate [`EventReport`], the one
+//! record and report type every driver returns. TTFT comes from an analytic
 //! [`GpuModel`]: prefill is compute-bound, so time-to-first-token is the
 //! FLOPs of the *uncached* prefill portion divided by effective device
 //! throughput plus a fixed overhead, an analytic stand-in for the paper's
@@ -27,9 +28,10 @@
 //! chunked prefill shared FIFO across batch slots, one decode token per
 //! decoding request per iteration, slots freed mid-batch), with iteration
 //! latencies from the same [`GpuModel`] and cache insertion at request
-//! *completion*. [`EventReport`] adds what the instantaneous reports
-//! cannot see: queueing delay, load-dependent TTFT (= queue + prefill),
-//! device utilization, and goodput under an SLO. [`EventCluster`] shards
+//! *completion*. Its [`EventReport`] carries what the engine cannot see:
+//! queueing delay, load-dependent TTFT (= queue + prefill), device
+//! utilization, and goodput under an SLO; the engine fills those fields
+//! with zero-load values. [`EventCluster`] shards
 //! it behind the routers, whose [`ReplicaStatus`] then carries live queue
 //! depth; in zero-time mode
 //! ([`EventClusterBuilder::instantaneous`]) it is the multi-replica
@@ -40,9 +42,11 @@
 //! **Determinism guarantees:** the event layer is a pure function of
 //! `(trace, cache config, BatchConfig, ServiceMode)` — no wall clock and
 //! no unseeded randomness anywhere in the subsystem; simultaneous events
-//! resolve executor-before-arrival, then by replica index, then FIFO. In
-//! the [`ServiceMode::Instantaneous`] limit it reproduces [`Engine`]
-//! **byte-for-byte** (the zero-load parity contract in `ARCHITECTURE.md`).
+//! resolve executor-before-arrival, then by replica index, then FIFO, in
+//! the one event loop [`EventSim`] and [`EventCluster`] share. In the
+//! [`ServiceMode::Instantaneous`] limit it reproduces [`Engine`]
+//! **byte-for-byte** in every non-latency record field (the zero-load
+//! parity contract in `ARCHITECTURE.md`).
 //!
 //! # Examples
 //!
@@ -80,9 +84,7 @@ pub use cluster::{
 };
 pub use comparison::{Comparison, ComparisonResult, SystemKind};
 pub use engine::Engine;
-pub use event::{
-    EventCluster, EventClusterBuilder, EventClusterReport, EventRecord, EventReport, EventSim,
-};
+pub use event::{EventCluster, EventClusterBuilder, EventClusterReport, EventSim};
 pub use executor::{BatchConfig, ServiceMode};
 pub use gpu::{decode_token_flops, GpuModel, ReloadDecision};
-pub use report::{RequestRecord, SimReport};
+pub use report::{EventRecord, EventReport};

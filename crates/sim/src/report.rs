@@ -1,32 +1,55 @@
-//! Per-request records and aggregate simulation reports.
+//! Per-request records and aggregate simulation reports, shared by every
+//! serving driver.
+//!
+//! [`Engine`](crate::Engine) fills them with zero-load values: it serves
+//! each request at its arrival instant, so a record's `admitted` and
+//! `completed` equal its `arrival`, `queue_ms` is 0 and `e2e_ms` equals
+//! the analytic `ttft_ms`; the report's `busy_s` and `iterations` are 0.
 
 use crate::gpu::ReloadDecision;
 use marconi_core::CacheStats;
-use marconi_metrics::{BinnedMean, BoxStats, Cdf, LatencySummary, Percentiles, TierSplit};
+use marconi_metrics::{BinnedMean, LatencySummary, Percentiles, TierSplit};
+use marconi_workload::Trace;
 use serde::{Deserialize, Serialize};
 
 /// One request's outcome in a simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RequestRecord {
+pub struct EventRecord {
     /// Request id (arrival order within the trace).
     pub id: u64,
     /// Session the request belonged to.
     pub session_id: u64,
-    /// Arrival time in seconds.
+    /// Arrival time in virtual seconds.
     pub arrival: f64,
+    /// When the request left the FIFO queue for a batch slot (`arrival`
+    /// under [`Engine`](crate::Engine)).
+    pub admitted: f64,
+    /// When its last decode token finished (cache admission time;
+    /// `arrival` under [`Engine`](crate::Engine)).
+    pub completed: f64,
     /// Prefill length in tokens.
     pub input_len: u64,
-    /// Tokens served from cache.
+    /// Tokens served from cache at admission.
     pub hit_tokens: u64,
-    /// The subset of [`hit_tokens`](RequestRecord::hit_tokens) that was
-    /// host-resident and had to be reloaded or recomputed.
+    /// The subset of [`hit_tokens`](EventRecord::hit_tokens) that was
+    /// host-resident at admission (reloaded or recomputed per the cache's
+    /// reload policy).
     pub host_hit_tokens: u64,
     /// Raw longest match ignoring SSM checkpoint constraints (diagnostic).
     pub raw_matched: u64,
-    /// Time to first token, in milliseconds (includes any reload charge).
+    /// Queueing delay in milliseconds (admitted − arrival; 0 under
+    /// [`Engine`](crate::Engine)).
+    pub queue_ms: f64,
+    /// Time to first token in milliseconds: queueing delay + reload +
+    /// prefill service. Under [`Engine`](crate::Engine) it is the
+    /// load-blind analytic TTFT of the uncached suffix plus the reload
+    /// charge.
     pub ttft_ms: f64,
-    /// Latency charged for the host-resident share of the hit, in
-    /// milliseconds (0 for device-only hits).
+    /// End-to-end latency in milliseconds (completed − arrival; equal to
+    /// `ttft_ms` under [`Engine`](crate::Engine), which models no decode).
+    pub e2e_ms: f64,
+    /// Latency charged at admission for the host-resident share of the
+    /// hit, in milliseconds (0 for device-only hits).
     pub reload_ms: f64,
     /// Which compute-or-load arm served the host share.
     pub reload: ReloadDecision,
@@ -36,7 +59,7 @@ pub struct RequestRecord {
     pub flops_saved: u128,
 }
 
-impl RequestRecord {
+impl EventRecord {
     /// This request's token hit rate.
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -47,59 +70,119 @@ impl RequestRecord {
     }
 }
 
-/// Aggregate result of replaying one trace through one cache system.
+/// Aggregate result of replaying one trace through one cache on one
+/// device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SimReport {
-    /// System name (`"marconi"`, `"vllm+"`, ...).
+pub struct EventReport {
+    /// System name (the cache's).
     pub system: String,
     /// Trace name the run used.
     pub trace: String,
-    /// Per-request outcomes, in arrival order.
-    pub records: Vec<RequestRecord>,
-    /// The cache's own cumulative statistics.
+    /// Per-request outcomes, sorted by request id (arrival order).
+    pub records: Vec<EventRecord>,
+    /// The cache's statistics: cumulative over the cache's life for
+    /// [`Engine`](crate::Engine) and [`EventSim`](crate::EventSim), this
+    /// run's share for an [`EventCluster`](crate::EventCluster) replica.
     pub cache_stats: CacheStats,
+    /// Virtual seconds the device spent executing iterations (0 under
+    /// [`Engine`](crate::Engine)).
+    pub busy_s: f64,
+    /// Batching iterations executed (the discrete-event count; 0 under
+    /// [`Engine`](crate::Engine)).
+    pub iterations: u64,
+    /// Virtual time of the last completion (trace start is 0; the last
+    /// arrival under [`Engine`](crate::Engine)).
+    pub makespan_s: f64,
 }
 
-impl SimReport {
-    /// Overall token hit rate: cache-served tokens over all input tokens.
-    #[must_use]
-    pub fn token_hit_rate(&self) -> f64 {
-        self.cache_stats.token_hit_rate()
+impl EventReport {
+    /// Assembles a report; the makespan is the last record's completion.
+    pub(crate) fn new(
+        system: String,
+        trace: &Trace,
+        records: Vec<EventRecord>,
+        cache_stats: CacheStats,
+        busy_s: f64,
+        iterations: u64,
+    ) -> Self {
+        let makespan_s = records.iter().fold(0.0f64, |m, r| m.max(r.completed));
+        EventReport {
+            system,
+            trace: trace.name.clone(),
+            records,
+            cache_stats,
+            busy_s,
+            iterations,
+            makespan_s,
+        }
     }
 
-    /// Total prefill FLOPs saved across the run.
-    #[must_use]
-    pub fn total_flops_saved(&self) -> u128 {
-        self.records.iter().map(|r| r.flops_saved).sum()
-    }
-
-    /// Per-request TTFT values in milliseconds.
+    /// Per-request TTFTs in milliseconds, in arrival order.
     #[must_use]
     pub fn ttfts_ms(&self) -> Vec<f64> {
         self.records.iter().map(|r| r.ttft_ms).collect()
     }
 
-    /// TTFT percentile in milliseconds (e.g. `0.95` for the paper's P95).
-    ///
-    /// Returns `None` for an empty run.
+    /// Per-request queueing delays in milliseconds, in arrival order.
+    #[must_use]
+    pub fn queue_delays_ms(&self) -> Vec<f64> {
+        self.records.iter().map(|r| r.queue_ms).collect()
+    }
+
+    /// TTFT percentile in milliseconds (e.g. `0.95` for the paper's P95);
+    /// `None` for an empty run.
     #[must_use]
     pub fn ttft_percentile_ms(&self, q: f64) -> Option<f64> {
         Percentiles::new(&self.ttfts_ms()).map(|p| p.quantile(q))
     }
 
-    /// TTFT distribution for CDF plots (Fig. 10b).
-    #[must_use]
-    pub fn ttft_cdf(&self) -> Option<Cdf> {
-        Cdf::new(&self.ttfts_ms())
-    }
-
     /// TTFT distribution summary (p50/p95/p99/mean); `None` for an empty
-    /// run. The same view [`EventReport`](crate::EventReport) and
-    /// [`EventClusterReport`](crate::EventClusterReport) expose, so
-    /// instantaneous and event-driven runs compare side by side.
+    /// run.
     #[must_use]
     pub fn ttft_summary(&self) -> Option<LatencySummary> {
         LatencySummary::new(&self.ttfts_ms())
+    }
+
+    /// Queueing-delay distribution summary; `None` for an empty run.
+    #[must_use]
+    pub fn queue_summary(&self) -> Option<LatencySummary> {
+        LatencySummary::new(&self.queue_delays_ms())
+    }
+
+    /// Device utilization: busy time over the makespan, in `[0, 1]`
+    /// (0.0 for an empty or instantaneous run).
+    #[must_use]
+    pub fn utilization(&self) -> f64 {
+        if self.makespan_s <= 0.0 {
+            return 0.0;
+        }
+        (self.busy_s / self.makespan_s).min(1.0)
+    }
+
+    /// Fraction of requests whose TTFT met `slo_ms`; `None` for an empty
+    /// run.
+    #[must_use]
+    pub fn slo_attainment(&self, slo_ms: f64) -> Option<f64> {
+        Percentiles::new(&self.ttfts_ms()).map(|p| p.fraction_le(slo_ms))
+    }
+
+    /// Goodput: SLO-meeting requests per virtual second of makespan
+    /// (0.0 for an empty run; an instantaneous run reports the trace's
+    /// own arrival rate, since every request trivially meets the SLO).
+    #[must_use]
+    pub fn goodput_rps(&self, slo_ms: f64) -> f64 {
+        if self.makespan_s <= 0.0 {
+            return 0.0;
+        }
+        let met = self.records.iter().filter(|r| r.ttft_ms <= slo_ms).count();
+        met as f64 / self.makespan_s
+    }
+
+    /// Overall token hit rate: cache-served tokens over all input tokens,
+    /// from the cache's counters.
+    #[must_use]
+    pub fn token_hit_rate(&self) -> f64 {
+        self.cache_stats.token_hit_rate()
     }
 
     /// Hit tokens split by the memory tier that served them.
@@ -111,11 +194,16 @@ impl SimReport {
         }
     }
 
-    /// Box statistics of per-request hit rates.
+    /// Total reload latency charged across the run, in milliseconds.
     #[must_use]
-    pub fn hit_rate_box(&self) -> Option<BoxStats> {
-        let rates: Vec<f64> = self.records.iter().map(RequestRecord::hit_rate).collect();
-        BoxStats::new(&rates)
+    pub fn total_reload_ms(&self) -> f64 {
+        self.records.iter().map(|r| r.reload_ms).sum()
+    }
+
+    /// Total prefill FLOPs saved across the run.
+    #[must_use]
+    pub fn total_flops_saved(&self) -> u128 {
+        self.records.iter().map(|r| r.flops_saved).sum()
     }
 
     /// Mean per-request hit rate binned by input length (Fig. 10a).
@@ -130,19 +218,48 @@ impl SimReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn record(id: u64, input: u64, hit: u64, ttft: f64) -> RequestRecord {
-        RequestRecord {
+    /// `r` with its latency fields (`ttft_ms`, `e2e_ms`, `reload_ms`)
+    /// zeroed: what the zero-load parity tests compare, since zero-time
+    /// service reports zero latencies where [`Engine`](crate::Engine)'s
+    /// are analytic.
+    pub(crate) fn without_latencies(r: &EventRecord) -> EventRecord {
+        EventRecord {
+            ttft_ms: 0.0,
+            e2e_ms: 0.0,
+            reload_ms: 0.0,
+            ..*r
+        }
+    }
+
+    /// Asserts the zero-load values [`Engine`](crate::Engine) fills in.
+    pub(crate) fn assert_engine_zero_load(report: &EventReport) {
+        for r in &report.records {
+            assert_eq!((r.admitted, r.completed), (r.arrival, r.arrival));
+            assert_eq!(r.queue_ms, 0.0, "req {}", r.id);
+            assert_eq!(r.e2e_ms, r.ttft_ms, "req {}", r.id);
+        }
+        assert_eq!((report.busy_s, report.iterations), (0.0, 0));
+        let last_arrival = report.records.iter().fold(0.0f64, |m, r| m.max(r.arrival));
+        assert_eq!(report.makespan_s, last_arrival);
+    }
+
+    fn record(id: u64, input: u64, hit: u64, ttft: f64) -> EventRecord {
+        EventRecord {
             id,
             session_id: 0,
             arrival: id as f64,
+            admitted: id as f64,
+            completed: id as f64,
             input_len: input,
             hit_tokens: hit,
             host_hit_tokens: 0,
             raw_matched: hit,
+            queue_ms: 0.0,
             ttft_ms: ttft,
+            e2e_ms: ttft,
             reload_ms: 0.0,
             reload: ReloadDecision::None,
             flops_spent: 10,
@@ -150,21 +267,27 @@ mod tests {
         }
     }
 
-    fn report() -> SimReport {
-        SimReport {
-            system: "test".into(),
-            trace: "t".into(),
-            records: vec![
+    fn report_of(records: Vec<EventRecord>, cache_stats: CacheStats) -> EventReport {
+        let trace = Trace {
+            name: "t".into(),
+            requests: vec![],
+        };
+        EventReport::new("test".into(), &trace, records, cache_stats, 0.0, 0)
+    }
+
+    fn report() -> EventReport {
+        report_of(
+            vec![
                 record(0, 100, 0, 500.0),
                 record(1, 100, 50, 300.0),
                 record(2, 200, 200, 50.0),
             ],
-            cache_stats: CacheStats {
+            CacheStats {
                 input_tokens: 400,
                 hit_tokens: 250,
                 ..CacheStats::default()
             },
-        }
+        )
     }
 
     #[test]
@@ -177,7 +300,6 @@ mod tests {
         let r = report();
         let p95 = r.ttft_percentile_ms(0.95).unwrap();
         assert!(p95 > 400.0 && p95 <= 500.0);
-        assert!(r.ttft_cdf().is_some());
     }
 
     #[test]
@@ -211,14 +333,8 @@ mod tests {
 
     #[test]
     fn empty_report_yields_none() {
-        let r = SimReport {
-            system: "x".into(),
-            trace: "t".into(),
-            records: vec![],
-            cache_stats: CacheStats::default(),
-        };
+        let r = report_of(vec![], CacheStats::default());
         assert!(r.ttft_percentile_ms(0.95).is_none());
-        assert!(r.hit_rate_box().is_none());
         assert_eq!(r.total_flops_saved(), 0);
     }
 }

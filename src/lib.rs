@@ -84,8 +84,8 @@ pub mod prelude {
     // `marconi_trace::ReloadDecision` (the trace-event payload) stays out
     // of the prelude: `sim::ReloadDecision` below owns the short name.
     pub use marconi_sim::{
-        BatchConfig, Comparison, Engine, EventCluster, EventReport, EventSim, GpuModel,
-        ReloadDecision, RequestRecord, Router, RoutingPolicy, SimReport,
+        BatchConfig, Comparison, Engine, EventCluster, EventRecord, EventReport, EventSim,
+        GpuModel, ReloadDecision, Router, RoutingPolicy,
     };
     pub use marconi_trace::{MissReport, NullSink, RingRecorder, TraceEvent, TraceSink, Tracer};
     pub use marconi_workload::{

@@ -18,17 +18,15 @@ use marconi_trace::{
 use std::sync::Arc;
 
 /// Per-node cache metadata: edge KVs are implicit (the edge's tokens); the
-/// node additionally records SSM-checkpoint presence, the memory tier the
-/// node's state lives on, recency, and the counters GDSF-style policies
-/// need.
+/// node additionally records SSM-checkpoint presence, recency, and the
+/// counters GDSF-style policies need. The memory tier the node's state
+/// lives on is the node's radix-tree class ([`Tier::class`]): demotion
+/// moves it to the host class, re-insertion through the node promotes it
+/// back, and it is always the device class when `host_capacity = 0`.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeMeta {
     last_access: f64,
     has_ssm_state: bool,
-    /// Where this node's state (edge KVs + checkpoint) physically lives.
-    /// Demotion flips it to [`Tier::Host`]; re-insertion through the node
-    /// promotes it back. Always [`Tier::Device`] when `host_capacity = 0`.
-    tier: Tier,
     /// Accesses since admission (GDSF's `F`).
     frequency: u32,
     /// GDSF priority `H = L + F·C/S`, refreshed on access.
@@ -83,14 +81,13 @@ impl CheckpointMode {
     }
 }
 
-/// Bootstrap snapshot: the tree and its derived byte accounting (both
-/// tiers' counters, so a tiered cache's replay replicas start from the
-/// exact same residency state).
+/// Bootstrap snapshot: the tree (which carries each node's tier and both
+/// tiers' token counts) and the SSM-checkpoint counters, so a tiered
+/// cache's replay replicas start from the exact same residency state.
 #[derive(Debug, Clone)]
 struct Snapshot {
     tree: RadixTree<NodeMeta>,
     ssm_states: u64,
-    host_tokens: u64,
     host_ssm_states: u64,
     clock: f64,
 }
@@ -135,11 +132,10 @@ pub struct HybridPrefixCache {
     /// How host-resident hits are brought back to the device (consumed by
     /// the serving layer; a behavioral knob mirrored by tuner replicas).
     reload_policy: ReloadPolicy,
+    /// The radix tree; each node's class is its tier, so the tree also
+    /// owns both tiers' token counts and victim sets.
     tree: RadixTree<NodeMeta>,
     ssm_states: u64,
-    /// Tokens of edges whose node is host-resident (device tokens are the
-    /// tree total minus this).
-    host_tokens: u64,
     /// SSM checkpoints on host-resident nodes.
     host_ssm_states: u64,
     policy: EvictionPolicy,
@@ -180,8 +176,9 @@ pub struct HybridPrefixCache {
     /// (the parity tests' reference implementation).
     #[cfg(test)]
     use_scan_eviction: bool,
-    /// Route α = 0 episodes through the scored pool instead of the live
-    /// recency index (the reference the α = 0 path is compared against).
+    /// Route α = 0 episodes through the scored picker instead of the first
+    /// entry of the tier's candidate set (the reference the α = 0 path is
+    /// compared against).
     #[cfg(test)]
     force_scored_pool: bool,
 }
@@ -358,14 +355,24 @@ impl HybridPrefixCache {
     /// With `host_capacity = 0` no node is ever host-resident, so this is
     /// exactly the pre-tiering total.
     fn usage(&self) -> u64 {
-        (self.tree.token_count() - self.host_tokens) * self.model.kv_bytes_per_token()
+        self.tree.class_token_count(Tier::Device.class()) * self.model.kv_bytes_per_token()
             + (self.ssm_states - self.host_ssm_states) * self.model.ssm_checkpoint_bytes()
     }
 
     /// Host-resident bytes (the quantity the host capacity bounds).
     fn host_usage(&self) -> u64 {
-        self.host_tokens * self.model.kv_bytes_per_token()
+        self.host_token_count() * self.model.kv_bytes_per_token()
             + self.host_ssm_states * self.model.ssm_checkpoint_bytes()
+    }
+
+    /// Edge tokens whose node is host-resident, in O(1).
+    fn host_token_count(&self) -> u64 {
+        self.tree.class_token_count(Tier::Host.class())
+    }
+
+    /// `true` if `id`'s state lives on the host tier.
+    fn is_host(&self, id: NodeId) -> bool {
+        self.tree.class(id) == Tier::Host.class()
     }
 
     /// Bytes a node's state occupies on its tier: its edge KVs plus its
@@ -384,16 +391,15 @@ impl HybridPrefixCache {
 
     /// Moves a device-resident node's state to the host tier; returns the
     /// bytes moved. Tree structure (and therefore every memoized score) is
-    /// untouched — only residency accounting changes.
+    /// untouched — only the node's class, and with it the tree's per-tier
+    /// token counts and candidate sets, changes.
     fn demote(&mut self, id: NodeId) -> u64 {
-        let meta = self.tree.data(id);
-        debug_assert_eq!(meta.tier, Tier::Device, "double demotion of {id}");
+        debug_assert!(!self.is_host(id), "double demotion of {id}");
         let bytes = self.node_bytes(id);
-        self.host_tokens += self.tree.edge_len(id);
-        if meta.has_ssm_state {
+        if self.tree.data(id).has_ssm_state {
             self.host_ssm_states += 1;
         }
-        self.tree.data_mut(id).tier = Tier::Host;
+        self.tree.set_class(id, Tier::Host.class());
         bytes
     }
 
@@ -410,7 +416,7 @@ impl HybridPrefixCache {
     /// Returns the tokens whose state moved host → device (trace
     /// telemetry only).
     fn promote_resident_path(&mut self, end: Option<NodeId>) -> u64 {
-        if self.host_tokens == 0 {
+        if self.host_token_count() == 0 {
             return 0;
         }
         let Some(end) = end else {
@@ -421,43 +427,16 @@ impl HybridPrefixCache {
         // The loop visits every node on the path except the root (which
         // carries no edge or payload).
         while let Some(parent) = self.tree.parent(cur) {
-            if self.tree.data(cur).tier == Tier::Host {
-                let edge = self.tree.edge_len(cur);
-                self.host_tokens -= edge;
-                promoted += edge;
+            if self.is_host(cur) {
+                promoted += self.tree.edge_len(cur);
                 if self.tree.data(cur).has_ssm_state {
                     self.host_ssm_states -= 1;
                 }
-                self.tree.data_mut(cur).tier = Tier::Device;
+                self.tree.set_class(cur, Tier::Device.class());
             }
             cur = parent;
         }
         promoted
-    }
-
-    /// Repairs tier attribution after an insertion split an edge: the new
-    /// intermediate node holds the *head* tokens of the split edge, so it
-    /// must inherit the old child's tier or host-token accounting drifts
-    /// (the tree itself default-initializes new payloads to
-    /// [`Tier::Device`]).
-    fn inherit_split_tier(&mut self, outcome: &InsertOutcome) {
-        if self.host_tokens == 0 {
-            return;
-        }
-        let Some(mid) = outcome.split_node else {
-            return;
-        };
-        let old_child = self
-            .tree
-            .children(mid)
-            .find(|&c| Some(c) != outcome.new_leaf);
-        if let Some(c) = old_child {
-            if self.tree.data(c).tier == Tier::Host {
-                // Tokens moved between two host-resident edges: the
-                // counters are already correct, only the flag was missing.
-                self.tree.data_mut(mid).tier = Tier::Host;
-            }
-        }
     }
 
     /// Reusable prefix length for a match, shared by `lookup_at`,
@@ -489,7 +468,7 @@ impl HybridPrefixCache {
     /// ≤ 1-child chains, so host spans are suffixes of the matched path in
     /// practice).
     fn host_share(&self, m: &PrefixMatch, tokens_matched: u64) -> (u64, u64, u128) {
-        if self.host_tokens == 0 || tokens_matched == 0 {
+        if self.host_token_count() == 0 || tokens_matched == 0 {
             return (0, 0, 0);
         }
         let kv = self.model.kv_bytes_per_token();
@@ -501,14 +480,16 @@ impl HybridPrefixCache {
             if depth > tokens_matched {
                 break;
             }
-            let meta = self.tree.data(id);
-            if meta.tier == Tier::Host {
+            if self.is_host(id) {
                 let edge = self.tree.edge_len(id);
                 h_tokens += edge;
                 h_bytes += edge * kv;
                 h_flops += self.model.prefill_flops(depth).total()
                     - self.model.prefill_flops(depth - edge).total();
-                if meta.has_ssm_state && depth == tokens_matched && self.model.has_ssm() {
+                if self.tree.data(id).has_ssm_state
+                    && depth == tokens_matched
+                    && self.model.has_ssm()
+                {
                     h_bytes += self.model.ssm_checkpoint_bytes();
                 }
             }
@@ -517,7 +498,7 @@ impl HybridPrefixCache {
         // tokens live in the containing child.
         if let Some(child) = m.mid_edge_child {
             let start = self.tree.depth(child) - self.tree.edge_len(child);
-            if tokens_matched > start && self.tree.data(child).tier == Tier::Host {
+            if tokens_matched > start && self.is_host(child) {
                 let part = tokens_matched - start;
                 h_tokens += part;
                 h_bytes += part * kv;
@@ -552,7 +533,7 @@ impl HybridPrefixCache {
                 CursorFallbackCause::QueryDiverged
             }
         })?;
-        if self.tree.data(node).tier != Tier::Device {
+        if self.is_host(node) {
             return Err(CursorFallbackCause::ResumeDemoted);
         }
         Ok(node)
@@ -750,20 +731,18 @@ impl HybridPrefixCache {
         });
     }
 
-    /// Debug/test-only: the incremental host counters must equal a
-    /// from-scratch scan of per-node tiers.
+    /// Debug/test-only: the tree's invariants — among them, each tier's
+    /// candidate set and token count against a scan of per-node classes —
+    /// and the incremental host checkpoint counter against a from-scratch
+    /// scan.
     #[cfg(any(debug_assertions, test))]
     fn assert_tier_accounting(&self) {
-        let mut tokens = 0u64;
-        let mut ssm = 0u64;
-        for id in self.tree.node_ids() {
-            let meta = self.tree.data(id);
-            if meta.tier == Tier::Host {
-                tokens += self.tree.edge_len(id);
-                ssm += u64::from(meta.has_ssm_state);
-            }
-        }
-        assert_eq!(tokens, self.host_tokens, "host_tokens drift");
+        self.tree.assert_invariants();
+        let ssm = self
+            .tree
+            .node_ids()
+            .filter(|&id| self.is_host(id) && self.tree.data(id).has_ssm_state)
+            .count() as u64;
         assert_eq!(ssm, self.host_ssm_states, "host_ssm_states drift");
     }
 
@@ -859,10 +838,9 @@ impl HybridPrefixCache {
     /// Picks the GDSF victim's position in `pool`: minimum priority, ties
     /// toward older nodes, then lower ids — a strict total order, so the
     /// result is independent of pool ordering.
-    fn pick_gdsf_victim_index(&self, pool: &[NodeId]) -> Option<usize> {
-        pool.iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| {
+    fn pick_gdsf_victim_index(&self, pool: impl Iterator<Item = NodeId>) -> Option<usize> {
+        pool.enumerate()
+            .min_by(|&(_, a), &(_, b)| {
                 let (ma, mb) = (self.tree.data(a), self.tree.data(b));
                 ma.gdsf_priority
                     .total_cmp(&mb.gdsf_priority)
@@ -897,8 +875,9 @@ impl HybridPrefixCache {
     /// merge into a device child can push the device tier back over).
     /// Selection at `host_capacity = 0` is deterministically identical to
     /// re-collecting and re-scoring every candidate per victim (the
-    /// test-only scan reference); debug builds re-verify pool membership,
-    /// memo freshness, and tier accounting on every victim.
+    /// test-only scan reference); debug builds check the tree's invariants
+    /// (each tier's candidate set and token count among them) once per
+    /// call, and memo freshness and every α = 0 pick on every victim.
     fn evict_until_fits(&mut self, report: &mut AdmissionReport) {
         #[cfg(test)]
         if self.use_scan_eviction {
@@ -923,24 +902,15 @@ impl HybridPrefixCache {
         }
     }
 
-    /// `true` if `id` belongs in `tier`'s victim pool: an eviction
-    /// candidate of the tree (≤ 1 child, unpinned) resident on `tier`,
-    /// and a leaf under the leaf-only ablation.
-    fn in_tier_pool(&self, id: NodeId, tier: Tier) -> bool {
-        self.tree.is_eviction_candidate(id)
-            && self.tree.data(id).tier == tier
-            && (!self.leaf_only_eviction || self.tree.is_leaf(id))
-    }
-
-    /// `tier`'s victim pool in ascending `(stamp, id)` order, straight off
-    /// the tree's recency index — the one candidate source for every
-    /// policy family. Pinned nodes are not candidates, so nothing here
-    /// filters pins.
+    /// `tier`'s victim pool in ascending `(stamp, id)` order: the tree's
+    /// ordered candidate set for the tier's class (≤ 1 child, unpinned,
+    /// resident on `tier`), narrowed to leaves under the leaf-only
+    /// ablation — the one candidate source for every policy family.
     fn tier_pool(&self, tier: Tier) -> impl Iterator<Item = NodeId> + '_ {
         self.tree
-            .lru_candidates()
+            .lru_candidates_in(tier.class())
             .map(|(_, id)| id)
-            .filter(move |&id| self.in_tier_pool(id, tier))
+            .filter(move |&id| !self.leaf_only_eviction || self.tree.is_leaf(id))
     }
 
     /// One pressure episode: victims are taken until the episode's tier
@@ -950,19 +920,22 @@ impl HybridPrefixCache {
     /// Where victims come from:
     ///
     /// * **α = 0** ([`lru_fast_path`](Self::lru_fast_path)): the first
-    ///   entry of the live recency index in the tier's pool. Stamps and
-    ///   pins do not move during an episode, and the index re-syncs on
-    ///   every deletion, so this is exactly the `(last_access, id)`
-    ///   minimum the scored picker would choose; debug builds re-check
-    ///   every pick against it.
-    /// * **Scored policies**: the tier's pool, collected once and
-    ///   re-scored per victim from memoized costs, repaired in place when
-    ///   a deletion makes a parent eligible — re-reading the index per
-    ///   victim would cost O(candidates) per victim.
+    ///   entry of the tier's candidate set. Stamps and pins do not move
+    ///   during an episode, and the tree re-syncs the set on every deletion
+    ///   and demotion, so this is exactly the `(last_access, id)` minimum
+    ///   the scored picker would choose; debug builds re-check every pick
+    ///   against it.
+    /// * **Scored policies**: the tier's current candidate set, scored per
+    ///   victim from memoized costs into the reused `scored` buffer. The
+    ///   set never holds the other tier's candidates, so nothing is
+    ///   filtered out and no pool needs repair.
     /// * **Device fallback**: every unpinned byte-bearing device node,
-    ///   candidate or not, scored the same way. An O(arena) scan, only
-    ///   reachable with a host tier (single-tier deletion always cascades
-    ///   down to fit), so it never touches the parity path.
+    ///   candidate or not, scored the same way. An O(arena) scan built once
+    ///   per episode and never repaired: fallback victims always demote,
+    ///   which leaves the tree's structure — and so every other entry's
+    ///   eligibility — untouched. Only reachable with a host tier
+    ///   (single-tier deletion always cascades down to fit), so it never
+    ///   touches the parity path.
     fn pressure_episode(&mut self, cause: PressureCause, report: &mut AdmissionReport) {
         let tier = match cause {
             PressureCause::HostCapacity => Tier::Host,
@@ -976,45 +949,49 @@ impl HybridPrefixCache {
         if !over(self) || self.tree.is_empty() || (fallback && self.host_capacity == 0) {
             return;
         }
-        let mut pool: Option<Vec<NodeId>> = if fallback {
-            Some(
-                self.tree
-                    .node_ids()
-                    .filter(|&id| self.tree.data(id).tier == Tier::Device)
-                    .filter(|&id| self.node_bytes(id) > 0 && !self.tree.is_pinned(id))
-                    .collect(),
-            )
-        } else if self.lru_fast_path() {
-            None
-        } else {
-            Some(self.tier_pool(tier).collect())
-        };
+        let mut fallback_pool: Option<Vec<NodeId>> = fallback.then(|| {
+            self.tree
+                .node_ids()
+                .filter(|&id| !self.is_host(id))
+                .filter(|&id| self.node_bytes(id) > 0 && !self.tree.is_pinned(id))
+                .collect()
+        });
+        let lru = !fallback && self.lru_fast_path();
         // Traced episodes report the eligible pool at episode start.
         let mut episode: Option<(usize, Vec<VictimRecord>)> = self.tracer.is_enabled().then(|| {
-            let pool_len = pool
+            let pool_len = fallback_pool
                 .as_ref()
                 .map_or_else(|| self.tier_pool(tier).count(), Vec::len);
             (pool_len, Vec::new())
         });
         let mut scored: Vec<Candidate<NodeId>> = Vec::new();
         while over(self) {
-            let victim = match pool.as_mut() {
-                None => self.tier_pool(tier).next(),
-                Some(pool) => {
-                    #[cfg(debug_assertions)]
-                    if !fallback {
-                        self.assert_pool_matches_scan(pool, tier);
+            let victim = if lru {
+                self.tier_pool(tier).next()
+            } else {
+                let pick = self.pick_scored(tier, fallback_pool.as_deref(), &mut scored);
+                pick.map(|i| {
+                    if let Some(pool) = fallback_pool.as_mut() {
+                        pool.swap_remove(i);
                     }
-                    self.pick_from_pool(pool, &mut scored)
-                        .map(|i| pool.swap_remove(i))
-                }
+                    scored[i].id
+                })
             };
             let Some(victim) = victim else {
                 break;
             };
+            // Debug builds re-check every α = 0 pick against the scored
+            // picker at this exact cache state.
             #[cfg(debug_assertions)]
-            if pool.is_none() {
-                self.assert_lru_victim_matches_scored_pick(victim, tier);
+            if lru {
+                let want = self
+                    .pick_scored(tier, None, &mut scored)
+                    .map(|i| scored[i].id);
+                assert_eq!(
+                    Some(victim),
+                    want,
+                    "O(log n) LRU fast path diverged from the scored reference pick"
+                );
             }
             // Tiered mode: demote everything that actually moves bytes;
             // zero-byte structural nodes (no checkpoint, zero-width KVs)
@@ -1032,7 +1009,7 @@ impl HybridPrefixCache {
             if demote {
                 self.demote_victim(victim, report);
             } else {
-                self.delete_victim(victim, pool.as_mut(), report, tier);
+                self.delete_victim(victim, report, tier);
             }
         }
         if let Some((pool_len, victims)) = episode {
@@ -1049,7 +1026,7 @@ impl HybridPrefixCache {
                 || self
                     .tree
                     .node_ids()
-                    .any(|id| self.tree.is_pinned(id) && self.tree.data(id).tier == Tier::Device),
+                    .any(|id| self.tree.is_pinned(id) && !self.is_host(id)),
             "every unpinned device byte is demotable, so the fallback must fit"
         );
     }
@@ -1059,31 +1036,14 @@ impl HybridPrefixCache {
     /// `α = 0`; AutoTuned until the tuner decides on a nonzero α). Under
     /// that collapse [`pick_victim_index`] reduces to the minimum of
     /// `(last_access, id)`, which is exactly the ascending key order of the
-    /// tree's recency index, so [`pressure_episode`](Self::pressure_episode)
-    /// reads victims straight off it without building or re-scoring a pool.
+    /// tier's candidate set, so [`pressure_episode`](Self::pressure_episode)
+    /// reads victims straight off it without scoring.
     fn lru_fast_path(&self) -> bool {
         #[cfg(test)]
         if self.force_scored_pool {
             return false;
         }
         !matches!(self.policy, EvictionPolicy::Gdsf) && self.effective_alpha == 0.0
-    }
-
-    /// Debug-only: the fast-path victim must equal what the scored pool
-    /// loop would have picked at this exact cache state.
-    #[cfg(debug_assertions)]
-    fn assert_lru_victim_matches_scored_pick(&mut self, victim: NodeId, tier: Tier) {
-        let pool: Vec<NodeId> = self.tier_pool(tier).collect();
-        self.assert_pool_matches_scan(&pool, tier);
-        let mut scored = Vec::with_capacity(pool.len());
-        let want = self
-            .pick_from_pool(&pool, &mut scored)
-            .map(|i| pool[i])
-            .expect("invariant: fast path found a victim, so the scored pool is non-empty");
-        assert_eq!(
-            victim, want,
-            "O(log n) LRU fast path diverged from the scored reference pick"
-        );
     }
 
     /// Demotes `victim` and records the move in stats and the admission
@@ -1096,21 +1056,12 @@ impl HybridPrefixCache {
         report.bytes_demoted += moved;
     }
 
-    /// Deletes `victim` from `tier`: removes it from the tree, repairs a
-    /// materialized `pool` (a leaf victim's parent may join the tier's
-    /// pool; a merge victim changes no candidacies — its child keeps its
-    /// own children and simply absorbs the edge), updates the cross-tier
-    /// accounting, and books the eviction. The α = 0 path passes no pool:
-    /// the tree's recency index repairs itself.
-    fn delete_victim(
-        &mut self,
-        victim: NodeId,
-        pool: Option<&mut Vec<NodeId>>,
-        report: &mut AdmissionReport,
-        tier: Tier,
-    ) {
+    /// Deletes `victim` from `tier`: removes it from the tree (which
+    /// re-syncs the candidate sets and re-homes a merged edge on the
+    /// absorbing child's tier), updates the host checkpoint counter, and
+    /// books the eviction.
+    fn delete_victim(&mut self, victim: NodeId, report: &mut AdmissionReport, tier: Tier) {
         let (freed, _) = self.node_costs(victim);
-        let victim_edge = self.tree.edge_len(victim);
         if self.tracer.is_enabled() {
             // Ledger first, while the path still exists: a later
             // short-matching lookup turns this entry into its attribution.
@@ -1134,11 +1085,6 @@ impl HybridPrefixCache {
             self.miss_ledger
                 .record_fingerprint(fp.finish(), fp.len(), cause);
         }
-        let parent = self
-            .tree
-            .parent(victim)
-            .expect("invariant: eviction victims are non-root");
-        let parent_was_pooled = pool.is_some() && self.in_tier_pool(parent, tier);
         let removed = self
             .tree
             .remove(victim)
@@ -1152,14 +1098,11 @@ impl HybridPrefixCache {
                 merged_into: child.index() as u64,
             });
         }
-        if let Some(pool) = pool {
-            if !parent_was_pooled && self.in_tier_pool(parent, tier) {
-                pool.push(parent);
-            }
-        }
-        self.apply_removed_accounting(victim_edge, &removed, tier);
         if removed.data.has_ssm_state {
             self.ssm_states -= 1;
+            if tier == Tier::Host {
+                self.host_ssm_states -= 1;
+            }
         }
         #[cfg(test)]
         self.eviction_log.push(victim);
@@ -1173,96 +1116,43 @@ impl HybridPrefixCache {
         report.bytes_evicted += freed;
     }
 
-    /// Shared victim picker over a tier-filtered pool: GDSF priority under
-    /// `EvictionPolicy::Gdsf` (advancing the inflation clock), the
-    /// `S(n) = recency + α·flop_efficiency` order otherwise.
-    fn pick_from_pool(
+    /// Shared victim picker: scores `tier`'s current candidate set (or, for
+    /// the device fallback, `pool`) into the reused `scored` buffer — GDSF
+    /// priority under `EvictionPolicy::Gdsf` (advancing the inflation
+    /// clock), the `S(n) = recency + α·flop_efficiency` order otherwise,
+    /// each efficiency read from the memoized costs — and returns the
+    /// victim's position in `scored` (and in `pool`).
+    fn pick_scored(
         &mut self,
-        pool: &[NodeId],
+        tier: Tier,
+        pool: Option<&[NodeId]>,
         scored: &mut Vec<Candidate<NodeId>>,
     ) -> Option<usize> {
+        let candidate = |id| Candidate {
+            id,
+            last_access: self.tree.data(id).last_access,
+            flop_efficiency: 0.0,
+        };
+        scored.clear();
+        match pool {
+            Some(pool) => scored.extend(pool.iter().map(|&id| candidate(id))),
+            None => scored.extend(self.tier_pool(tier).map(candidate)),
+        }
         if matches!(self.policy, EvictionPolicy::Gdsf) {
-            let idx = self.pick_gdsf_victim_index(pool);
+            let idx = self.pick_gdsf_victim_index(scored.iter().map(|c| c.id));
             if let Some(i) = idx {
-                let h = self.tree.data(pool[i]).gdsf_priority;
+                let h = self.tree.data(scored[i].id).gdsf_priority;
                 if h.is_finite() {
                     self.gdsf_clock = self.gdsf_clock.max(h);
                 }
             }
             idx
         } else {
-            scored.clear();
-            for &id in pool {
-                let (_, eff) = self.node_costs(id);
-                scored.push(Candidate {
-                    id,
-                    last_access: self.tree.data(id).last_access,
-                    flop_efficiency: eff,
-                });
+            for c in scored.iter_mut() {
+                c.flop_efficiency = self.node_costs(c.id).1;
             }
             pick_victim_index(scored, self.effective_alpha)
         }
-    }
-
-    /// Updates the host counters for a `victim_edge`-token node removed
-    /// from `tier`. A leaf's edge leaves the tree; a merged intermediate's
-    /// edge is absorbed by the child and re-homed on the *child's* tier
-    /// (the cross-tier flow that can push the device tier back over
-    /// capacity and re-trigger phase 1).
-    fn apply_removed_accounting(
-        &mut self,
-        victim_edge: u64,
-        removed: &marconi_radix::Removed<NodeMeta>,
-        tier: Tier,
-    ) {
-        match tier {
-            Tier::Device => {
-                // A device leaf's tokens were device-resident; only a merge
-                // into a host-resident child moves tokens across tiers.
-                if let Some(child) = removed.merged_into {
-                    if self.tree.data(child).tier == Tier::Host {
-                        self.host_tokens += victim_edge;
-                    }
-                }
-            }
-            Tier::Host => {
-                if removed.data.has_ssm_state {
-                    self.host_ssm_states -= 1;
-                }
-                match removed.merged_into {
-                    // Host leaf deleted outright.
-                    None => self.host_tokens -= victim_edge,
-                    Some(child) => {
-                        if self.tree.data(child).tier == Tier::Device {
-                            // The absorbed edge re-homes on the device
-                            // child.
-                            self.host_tokens -= victim_edge;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Debug-only: the incremental pool must equal the from-scratch scan of
-    /// live ≤ 1-child nodes on `tier` (at `host_capacity = 0` the device
-    /// pool is exactly the pre-refactor candidate set).
-    #[cfg(debug_assertions)]
-    fn assert_pool_matches_scan(&self, pool: &[NodeId], tier: Tier) {
-        let mut got: Vec<NodeId> = pool.to_vec();
-        got.sort_unstable();
-        got.windows(2)
-            .for_each(|w| assert_ne!(w[0], w[1], "duplicate pool entry {}", w[0]));
-        let mut want: Vec<NodeId> = self
-            .tree
-            .node_ids()
-            .filter(|&id| self.tree.child_count(id) <= 1)
-            .filter(|&id| self.tree.data(id).tier == tier)
-            .filter(|&id| !self.leaf_only_eviction || self.tree.is_leaf(id))
-            .filter(|&id| !self.tree.is_pinned(id))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want, "incremental victim pool diverged from scan");
     }
 
     /// The pre-refactor eviction loop, verbatim: re-collect every candidate
@@ -1280,7 +1170,9 @@ impl HybridPrefixCache {
                 .filter(|&id| !leaf_only || self.tree.is_leaf(id))
                 .collect();
             let victim = if matches!(self.policy, EvictionPolicy::Gdsf) {
-                let v = self.pick_gdsf_victim_index(&ids).map(|i| ids[i]);
+                let v = self
+                    .pick_gdsf_victim_index(ids.iter().copied())
+                    .map(|i| ids[i]);
                 if let Some(v) = v {
                     let h = self.tree.data(v).gdsf_priority;
                     if h.is_finite() {
@@ -1331,6 +1223,7 @@ impl HybridPrefixCache {
     /// Marks an SSM checkpoint on `id` if absent; returns 1 if newly added.
     fn checkpoint(&mut self, id: NodeId, now: f64) -> u64 {
         self.stamp_access(id, now);
+        let host = self.is_host(id);
         let meta = self.tree.data_mut(id);
         if meta.has_ssm_state {
             0
@@ -1339,7 +1232,7 @@ impl HybridPrefixCache {
             // The checkpoint changes what evicting this node frees: drop
             // the memoized scores.
             meta.cost_memo = None;
-            if meta.tier == Tier::Host {
+            if host {
                 // Checkpointing a still-host-resident node (promotion runs
                 // after all checkpoints land): keep the tier counters in
                 // step.
@@ -1387,7 +1280,6 @@ impl HybridPrefixCache {
                         snapshot: Box::new(Snapshot {
                             tree: self.tree.clone(),
                             ssm_states: self.ssm_states,
-                            host_tokens: self.host_tokens,
                             host_ssm_states: self.host_ssm_states,
                             clock: self.clock,
                         }),
@@ -1455,7 +1347,6 @@ impl HybridPrefixCache {
             reload_policy: self.reload_policy,
             tree,
             ssm_states: snapshot.ssm_states,
-            host_tokens: snapshot.host_tokens,
             host_ssm_states: snapshot.host_ssm_states,
             policy: EvictionPolicy::FlopAware { alpha },
             tuner: None,
@@ -1718,7 +1609,6 @@ impl PrefixCache for HybridPrefixCache {
                 let target = self.checkpoint_mode.checkpoint_depth(branch_depth);
                 if target > 0 {
                     let outcome = self.insert_via(resume, &input[..target as usize], &[]);
-                    self.inherit_split_tier(&outcome);
                     self.stamp_new_nodes(&outcome, now);
                     self.emit_split(&outcome, now);
                     let node = outcome.end_node;
@@ -1740,7 +1630,6 @@ impl PrefixCache for HybridPrefixCache {
         let mut end_node = None;
         if !input.is_empty() || !output.is_empty() {
             let outcome = self.insert_via(resume, input, output);
-            self.inherit_split_tier(&outcome);
             self.stamp_new_nodes(&outcome, now);
             self.emit_split(&outcome, now);
             if self.model.has_ssm() {
@@ -1789,7 +1678,7 @@ impl PrefixCache for HybridPrefixCache {
         // device-resident end node (and is still revalidated on return).
         let next = end_node.and_then(|id| {
             let cursor = self.tree.cursor_at(id)?;
-            (self.tree.data(id).tier == Tier::Device).then_some(SessionCursor { cursor, shard: 0 })
+            (!self.is_host(id)).then_some(SessionCursor { cursor, shard: 0 })
         });
         (report, next)
     }
@@ -1997,7 +1886,6 @@ impl HybridPrefixCacheBuilder {
             reload_policy: self.reload_policy,
             tree: RadixTree::new(),
             ssm_states: 0,
-            host_tokens: 0,
             host_ssm_states: 0,
             policy: self.policy,
             tuner,
@@ -2484,7 +2372,6 @@ mod tests {
         let snapshot = Snapshot {
             tree: parent.tree.clone(),
             ssm_states: parent.ssm_states,
-            host_tokens: parent.host_tokens,
             host_ssm_states: parent.host_ssm_states,
             clock: parent.clock,
         };
@@ -2508,7 +2395,6 @@ mod tests {
         let snapshot = Snapshot {
             tree: parent.tree.clone(),
             ssm_states: parent.ssm_states,
-            host_tokens: parent.host_tokens,
             host_ssm_states: parent.host_ssm_states,
             clock: parent.clock,
         };
@@ -3335,7 +3221,6 @@ mod tests {
         let snapshot = Snapshot {
             tree: parent.tree.clone(),
             ssm_states: parent.ssm_states,
-            host_tokens: parent.host_tokens,
             host_ssm_states: parent.host_ssm_states,
             clock: parent.clock,
         };
@@ -3760,7 +3645,6 @@ mod tests {
         let snapshot = Snapshot {
             tree: parent.tree.clone(),
             ssm_states: parent.ssm_states,
-            host_tokens: parent.host_tokens,
             host_ssm_states: parent.host_ssm_states,
             clock: parent.clock,
         };
@@ -3777,7 +3661,6 @@ mod tests {
         let snapshot = Snapshot {
             tree: unpinning.tree.clone(),
             ssm_states: unpinning.ssm_states,
-            host_tokens: unpinning.host_tokens,
             host_ssm_states: unpinning.host_ssm_states,
             clock: unpinning.clock,
         };

@@ -21,6 +21,15 @@ pub enum Tier {
     Host,
 }
 
+impl Tier {
+    /// The radix-tree class (`RadixTree::set_class`) of a node resident on
+    /// this tier, so each tier's victims and token usage are read straight
+    /// off the tree. `Device` is class 0, the class new nodes start in.
+    pub(crate) fn class(self) -> u8 {
+        self as u8
+    }
+}
+
 impl fmt::Display for Tier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

@@ -14,11 +14,16 @@
 //!   (§4.1): report, without mutating, whether inserting a sequence would
 //!   create a new intermediate node (a branch point whose SSM state is worth
 //!   checkpointing during prefill).
-//! * [`RadixTree::lru_candidates`] — unpinned nodes with ≤ 1 child
+//! * [`RadixTree::lru_candidates_in`] — unpinned nodes with ≤ 1 child
 //!   (§4.3), because multi-child nodes represent hot shared prefixes and
-//!   pinned ones are being read by in-flight requests. The set is one
-//!   recency index maintained incrementally (O(log n) per mutation), so
-//!   enumerating it costs O(candidates) rather than O(arena), and
+//!   pinned ones are being read by in-flight requests. Every node carries a
+//!   caller-assigned class ([`RadixTree::set_class`], e.g. its memory
+//!   tier), and the candidate set is one ordered set per class, owned by
+//!   the tree: one recency index keyed `(class, stamp, id)` and maintained
+//!   incrementally (O(log n) per mutation), so enumerating a class's
+//!   candidates costs O(those candidates) rather than O(arena). The tree
+//!   also keeps each class's token count
+//!   ([`RadixTree::class_token_count`]), and
 //!   [`RadixTree::structure_version`] lets callers memoize per-node derived
 //!   costs with O(1) staleness checks.
 //! * [`RadixTree::remove`] — eviction with edge merging: removing an

@@ -69,6 +69,21 @@ pub(crate) struct EdgeRef {
 impl EdgeRef {
     pub const EMPTY: EdgeRef = EdgeRef { off: 0, len: 0 };
 
+    /// The edge `store[off..off + len]`: the one conversion from store
+    /// positions to `u32` offsets. It panics rather than wrap, because a
+    /// wrapped offset would silently alias another edge's tokens.
+    pub fn checked(off: usize, len: usize) -> EdgeRef {
+        assert!(
+            off + len <= u32::MAX as usize,
+            "invariant: token store range {off}..{} exceeds u32 addressing",
+            off + len
+        );
+        EdgeRef {
+            off: off as u32,
+            len: len as u32,
+        }
+    }
+
     pub fn range(self) -> std::ops::Range<usize> {
         self.off as usize..(self.off + self.len) as usize
     }
@@ -171,6 +186,12 @@ pub(crate) struct Node<D> {
     /// entry in the tree's O(log n) recency index while the node is an
     /// eviction candidate.
     pub stamp: u64,
+    /// Caller-assigned partition label (see
+    /// [`RadixTree::set_class`](crate::RadixTree::set_class)): selects the
+    /// candidate set the node joins and the per-class token count its edge
+    /// adds to. New nodes are class 0; split intermediates take their
+    /// child's class.
+    pub class: u8,
     /// Caller payload.
     pub data: D,
 }
@@ -200,6 +221,18 @@ mod tests {
         assert!(NodeId::new(1, 0) < NodeId::new(2, 0));
         assert!(NodeId::new(1, 5) < NodeId::new(2, 0), "index dominates");
         assert!(NodeId::new(1, 0) < NodeId::new(1, 1));
+    }
+
+    #[test]
+    fn checked_edge_accepts_the_last_addressable_range() {
+        let e = EdgeRef::checked(u32::MAX as usize - 3, 3);
+        assert_eq!((e.off, e.len), (u32::MAX - 3, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant: token store range")]
+    fn checked_edge_panics_past_u32_addressing() {
+        let _ = EdgeRef::checked(u32::MAX as usize - 1, 2);
     }
 
     #[test]

@@ -1,38 +1,42 @@
-//! O(log n) recency index over eviction candidates.
+//! O(log n) recency index over eviction candidates, one ordered set per
+//! class.
 //!
 //! Marconi's LRU-flavored policies (paper §4.3 with α = 0, and the
 //! auto-tuner's LRU phase) pick victims by minimum `(last_access, id)`.
 //! Re-deriving that minimum by scanning the candidate set costs
 //! O(candidates) per victim; this index keeps the candidates ordered by
-//! `(stamp, id)` in a `BTreeSet`, so the current minimum is O(log n) to
-//! maintain and O(1) to read. It is the tree's only candidate set: the
-//! tree re-syncs a node whenever its child count or pin count can flip
+//! `(class, stamp, id)` in a `BTreeSet`, so each class's candidates are one
+//! contiguous range whose minimum is O(log n) to maintain and O(1) to read.
+//! It is the tree's only candidate set: the tree re-syncs a node whenever
+//! its child count or pin count can flip
 //! [`RadixTree::is_eviction_candidate`](crate::RadixTree::is_eviction_candidate),
-//! and re-keys it on [`RadixTree::touch`](crate::RadixTree::touch).
+//! re-keys it on [`RadixTree::touch`](crate::RadixTree::touch), and moves
+//! it between ranges on [`RadixTree::set_class`](crate::RadixTree::set_class).
 
 use crate::node::NodeId;
 use std::collections::BTreeSet;
 
-/// Candidate ids ordered by `(stamp, id)` — ascending stamp, then id.
+/// Candidate ids ordered by `(class, stamp, id)` — ascending class, then
+/// stamp, then id.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RecencyIndex {
-    set: BTreeSet<(u64, NodeId)>,
+    set: BTreeSet<(u8, u64, NodeId)>,
 }
 
 impl RecencyIndex {
     /// Adds an entry; no-op if present.
-    pub fn insert(&mut self, stamp: u64, id: NodeId) {
-        self.set.insert((stamp, id));
+    pub fn insert(&mut self, class: u8, stamp: u64, id: NodeId) {
+        self.set.insert((class, stamp, id));
     }
 
     /// Removes an entry; no-op if absent.
-    pub fn remove(&mut self, stamp: u64, id: NodeId) {
-        self.set.remove(&(stamp, id));
+    pub fn remove(&mut self, class: u8, stamp: u64, id: NodeId) {
+        self.set.remove(&(class, stamp, id));
     }
 
-    /// `true` if the exact `(stamp, id)` entry is present.
-    pub fn contains(&self, stamp: u64, id: NodeId) -> bool {
-        self.set.contains(&(stamp, id))
+    /// `true` if the exact `(class, stamp, id)` entry is present.
+    pub fn contains(&self, class: u8, stamp: u64, id: NodeId) -> bool {
+        self.set.contains(&(class, stamp, id))
     }
 
     /// Number of entries.
@@ -40,9 +44,17 @@ impl RecencyIndex {
         self.set.len()
     }
 
-    /// Entries in ascending `(stamp, id)` order.
+    /// Every entry as `(stamp, id)`, in ascending `(class, stamp, id)`
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
-        self.set.iter().copied()
+        self.set.iter().map(|&(_, stamp, id)| (stamp, id))
+    }
+
+    /// `class`'s entries as `(stamp, id)`, in ascending `(stamp, id)` order.
+    pub fn iter_class(&self, class: u8) -> impl Iterator<Item = (u64, NodeId)> + '_ {
+        let lo = (class, 0, NodeId::new(0, 0));
+        let hi = (class, u64::MAX, NodeId::new(u32::MAX, u32::MAX));
+        self.set.range(lo..=hi).map(|&(_, stamp, id)| (stamp, id))
     }
 }
 
@@ -104,14 +116,40 @@ mod tests {
     #[test]
     fn index_orders_by_stamp_then_id() {
         let mut idx = RecencyIndex::default();
-        idx.insert(5, NodeId::new(2, 0));
-        idx.insert(5, NodeId::new(1, 0));
-        idx.insert(3, NodeId::new(9, 0));
+        idx.insert(0, 5, NodeId::new(2, 0));
+        idx.insert(0, 5, NodeId::new(1, 0));
+        idx.insert(0, 3, NodeId::new(9, 0));
         let order: Vec<(u64, usize)> = idx.iter().map(|(s, n)| (s, n.index())).collect();
         assert_eq!(order, vec![(3, 9), (5, 1), (5, 2)]);
-        assert!(idx.contains(5, NodeId::new(1, 0)));
-        idx.remove(5, NodeId::new(1, 0));
-        assert!(!idx.contains(5, NodeId::new(1, 0)));
+        assert!(idx.contains(0, 5, NodeId::new(1, 0)));
+        idx.remove(0, 5, NodeId::new(1, 0));
+        assert!(!idx.contains(0, 5, NodeId::new(1, 0)));
         assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn classes_are_disjoint_ordered_ranges() {
+        let mut idx = RecencyIndex::default();
+        idx.insert(1, 2, NodeId::new(4, 0));
+        idx.insert(0, 7, NodeId::new(3, 0));
+        idx.insert(1, u64::MAX, NodeId::new(u32::MAX, u32::MAX));
+        idx.insert(0, 1, NodeId::new(5, 0));
+        idx.insert(2, 0, NodeId::new(0, 0));
+        let class = |c| {
+            idx.iter_class(c)
+                .map(|(s, n)| (s, n.index()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(class(0), vec![(1, 5), (7, 3)]);
+        assert_eq!(class(1), vec![(2, 4), (u64::MAX, u32::MAX as usize)]);
+        assert_eq!(class(2), vec![(0, 0)]);
+        assert!(class(3).is_empty());
+        // The unfiltered walk is class-major.
+        let all: Vec<usize> = idx.iter().map(|(_, n)| n.index()).collect();
+        assert_eq!(all, vec![5, 3, 4, u32::MAX as usize, 0]);
+        assert!(
+            !idx.contains(0, 2, NodeId::new(4, 0)),
+            "class is part of the key"
+        );
     }
 }

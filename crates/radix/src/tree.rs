@@ -9,10 +9,14 @@
 //!   ascending first-token order, no per-node `BTreeMap` allocations);
 //! * edge labels are `(offset, len)` slices into one shared append-only
 //!   token store, so splitting an edge is O(1) offset arithmetic;
-//! * eviction candidates live in one O(log n) recency index keyed by
-//!   caller-supplied stamps ([`RadixTree::touch`]), so LRU-style victim
-//!   selection needs no linear scans; a pin takes a node out of it and the
-//!   last unpin puts it back.
+//! * every node carries a caller-assigned *class* (a partition label, e.g.
+//!   a memory tier; [`RadixTree::set_class`]); the tree keeps one token
+//!   count per class, and eviction candidates live in one O(log n) recency
+//!   index keyed by class, then caller-supplied stamps
+//!   ([`RadixTree::touch`]), so each class's candidates are one ordered
+//!   set ([`RadixTree::lru_candidates_in`]) and LRU-style victim selection
+//!   needs no linear scans; a pin takes a node out of it and the last unpin
+//!   puts it back.
 
 use crate::node::{ChildSet, EdgeRef, Node, NodeId, Slot};
 use crate::recency::RecencyIndex;
@@ -32,16 +36,24 @@ use std::fmt;
 /// 3. `depth(n) = depth(parent(n)) + edge_len(n)`;
 /// 4. [`token_count`](RadixTree::token_count) equals the sum of all edge
 ///    lengths, which equals the number of distinct prefixes stored.
-/// 5. [`lru_candidates`](RadixTree::lru_candidates) iterates the one
-///    candidate set: a recency index whose membership always equals
-///    `{ live non-root n | child_count(n) ≤ 1 ∧ pin_count(n) = 0 }`
-///    ([`is_eviction_candidate`](RadixTree::is_eviction_candidate)).
-/// 6. Each member appears exactly once, as `(stamp, id)` with `stamp` the
-///    node's current [`touch`](RadixTree::touch) stamp, so iteration is
-///    ascending `(stamp, id)` order.
+/// 5. The candidate set is one ordered set per class:
+///    [`lru_candidates_in(c)`](RadixTree::lru_candidates_in) iterates a
+///    recency index whose membership always equals
+///    `{ live non-root n | class(n) = c ∧ child_count(n) ≤ 1 ∧
+///    pin_count(n) = 0 }`
+///    ([`is_eviction_candidate`](RadixTree::is_eviction_candidate)), and
+///    [`lru_candidates`](RadixTree::lru_candidates) walks every class's set
+///    in ascending class order.
+/// 6. Each member appears exactly once, as `(class, stamp, id)` with
+///    `class` the node's current [`class`](RadixTree::class) and `stamp`
+///    its current [`touch`](RadixTree::touch) stamp, so each class's set
+///    iterates in ascending `(stamp, id)` order.
 /// 7. [`pinned_count`](RadixTree::pinned_count) equals
 ///    `|{ live non-root n | pin_count(n) > 0 }|`, and a non-root parent's
 ///    pin count is at least each child's (counts are subtree-inclusive).
+/// 8. [`class_token_count(c)`](RadixTree::class_token_count) equals the
+///    sum of the edge lengths of the live class-`c` nodes, so the classes'
+///    counts sum to [`token_count`](RadixTree::token_count).
 ///
 /// The token store is append-only: splits reference it in place, and edge
 /// merges reuse contiguous ranges (the split-then-evict hot path), copying
@@ -55,13 +67,17 @@ pub struct RadixTree<D> {
     store: Vec<Token>,
     free_head: Option<u32>,
     node_count: usize,
-    token_count: u64,
-    /// The eviction-candidate set, ordered by `(stamp, id)`. Every
+    /// Edge tokens per class, indexed by class (grown by
+    /// [`set_class`](RadixTree::set_class)); their sum is the tree's
+    /// [`token_count`](RadixTree::token_count).
+    class_tokens: Vec<u64>,
+    /// The eviction-candidate sets, ordered by `(class, stamp, id)`. Every
     /// mutation that can flip a node's
-    /// [`is_eviction_candidate`](RadixTree::is_eviction_candidate) re-syncs
-    /// that node, so the eviction hot path never re-scans the arena. The
-    /// set is ordered, so a pin removing a node and its unpin re-inserting
-    /// it at the same stamp leave the pin-free iteration order untouched.
+    /// [`is_eviction_candidate`](RadixTree::is_eviction_candidate) or
+    /// change its class re-syncs that node, so the eviction hot path never
+    /// re-scans the arena. The set is ordered, so a pin removing a node
+    /// and its unpin re-inserting it at the same stamp leave the pin-free
+    /// iteration order untouched.
     lru: RecencyIndex,
     /// Number of live nodes with `pin_count > 0`.
     pinned: usize,
@@ -257,13 +273,14 @@ impl<D: Default> RadixTree<D> {
                     version: 0,
                     pin_count: 0,
                     stamp: 0,
+                    class: 0,
                     data: D::default(),
                 },
             }],
             store: Vec::new(),
             free_head: None,
             node_count: 0,
-            token_count: 0,
+            class_tokens: vec![0],
             lru: RecencyIndex::default(),
             pinned: 0,
             split_off_by_one: false,
@@ -336,9 +353,7 @@ impl<D: Default> RadixTree<D> {
         cursor: &MatchCursor,
         seq: &[Token],
     ) -> Result<InsertOutcome, CursorFault> {
-        let start = self.resume(cursor, seq)?;
-        let pos = cursor.matched_len() as usize;
-        Ok(self.insert_at_node(start, pos, seq, &[]))
+        self.insert_parts_from(cursor, seq, &[])
     }
 
     /// The insert walk from an arbitrary resume point over the virtual
@@ -387,6 +402,7 @@ impl<D: Default> RadixTree<D> {
                         version: 0,
                         pin_count: 0,
                         stamp: 0,
+                        class: 0,
                         data: D::default(),
                     });
                     let was_leaf = self.node(cur).children.is_empty();
@@ -398,7 +414,7 @@ impl<D: Default> RadixTree<D> {
                     }
                     self.sync_candidate(leaf);
                     self.sync_candidate(cur);
-                    self.token_count += added;
+                    self.class_tokens[0] += added;
                     return InsertOutcome {
                         end_node: leaf,
                         split_node,
@@ -458,22 +474,14 @@ impl<D: Default> RadixTree<D> {
     /// at `pos` to the shared store (one or two `extend_from_slice`
     /// memcpys, depending on whether the suffix straddles the seam).
     fn push_tokens_parts(&mut self, head: &[Token], tail: &[Token], pos: usize) -> EdgeRef {
-        let off = self.store.len();
-        let len = head.len() + tail.len() - pos;
-        debug_assert!(
-            off + len <= u32::MAX as usize,
-            "token store exceeds u32 addressing"
-        );
+        let edge = EdgeRef::checked(self.store.len(), head.len() + tail.len() - pos);
         if pos < head.len() {
             self.store.extend_from_slice(&head[pos..]);
             self.store.extend_from_slice(tail);
         } else {
             self.store.extend_from_slice(&tail[pos - head.len()..]);
         }
-        EdgeRef {
-            off: off as u32,
-            len: len as u32,
-        }
+        edge
     }
 
     /// Splits `child`'s edge after `shared` tokens, inserting a new
@@ -486,9 +494,9 @@ impl<D: Default> RadixTree<D> {
             .node(child)
             .parent
             .expect("invariant: split children are non-root");
-        let (edge, child_depth, inherited_pins) = {
+        let (edge, child_depth, inherited_pins, class) = {
             let c = self.node(child);
-            (c.edge, c.depth, c.pin_count)
+            (c.edge, c.depth, c.pin_count, c.class)
         };
         let shared = shared as u32;
         let head = EdgeRef {
@@ -507,7 +515,8 @@ impl<D: Default> RadixTree<D> {
         // are subtree-inclusive, and every upward walk that used to reach
         // `child` directly now passes through `mid` first. Copying keeps
         // later `unpin` walks balanced and keeps the head of a pinned edge
-        // protected (the split moved those KVs onto `mid`).
+        // protected (the split moved those KVs onto `mid`). It takes the
+        // child's class too, so no class token count moves.
         let mid = self.alloc(Node {
             parent: Some(parent),
             edge: head,
@@ -516,6 +525,7 @@ impl<D: Default> RadixTree<D> {
             version: 0,
             pin_count: inherited_pins,
             stamp: 0,
+            class,
             data: D::default(),
         });
         if inherited_pins > 0 {
@@ -535,8 +545,8 @@ impl<D: Default> RadixTree<D> {
         // (and candidacy) is unchanged; `mid` itself has exactly one child
         // and is a candidate unless it inherited pins.
         self.sync_candidate(mid);
-        // Splitting moves tokens between edges without adding any, so
-        // token_count is untouched; alloc() already counted the new node.
+        // Splitting moves tokens between same-class edges without adding
+        // any; alloc() already counted the new node.
         mid
     }
 }
@@ -565,29 +575,21 @@ impl<D> RadixTree<D> {
 
     /// Re-derives `id`'s recency-index membership from
     /// [`is_eviction_candidate`](RadixTree::is_eviction_candidate), at the
-    /// node's stored stamp. O(log candidates); idempotent.
+    /// node's stored class and stamp. O(log candidates); idempotent.
     fn sync_candidate(&mut self, id: NodeId) {
-        let stamp = self.node(id).stamp;
+        let Node { class, stamp, .. } = *self.node(id);
         if self.is_eviction_candidate(id) {
-            self.lru.insert(stamp, id);
+            self.lru.insert(class, stamp, id);
         } else {
-            self.lru.remove(stamp, id);
+            self.lru.remove(class, stamp, id);
         }
     }
 
-    /// Number of leading tokens of `rest` matching `child`'s edge label.
-    fn shared_edge_len(&self, child: NodeId, rest: &[Token]) -> usize {
-        let edge = &self.store[self.node(child).edge.range()];
-        edge.iter()
-            .zip(rest.iter())
-            .take_while(|(a, b)| a == b)
-            .count()
-    }
-
-    /// [`shared_edge_len`](RadixTree::shared_edge_len) against the virtual
-    /// sequence `head ‖ tail` starting at `pos`: the edge is compared
-    /// piecewise against the segment(s) it overlaps, so a compare
-    /// straddling the seam never materializes the concatenation.
+    /// Number of leading tokens of the virtual sequence `head ‖ tail`,
+    /// starting at `pos`, that match `child`'s edge label. The edge is
+    /// compared piecewise against the segment(s) it overlaps, so a compare
+    /// straddling the seam never materializes the concatenation;
+    /// single-slice callers pass an empty `tail`.
     fn shared_edge_len_parts(
         &self,
         child: NodeId,
@@ -636,7 +638,58 @@ impl<D> RadixTree<D> {
     /// Total tokens across all edges (= number of distinct stored prefixes).
     #[must_use]
     pub fn token_count(&self) -> u64 {
-        self.token_count
+        self.class_tokens.iter().sum()
+    }
+
+    /// Tokens on the edges of class-`class` nodes (0 for a class no node
+    /// has ever held), in O(1).
+    #[must_use]
+    pub fn class_token_count(&self, class: u8) -> u64 {
+        self.class_tokens
+            .get(usize::from(class))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The node's class (0 unless [`set_class`](RadixTree::set_class)
+    /// moved it, or it was split off a node of another class).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` refers to a removed node.
+    #[must_use]
+    pub fn class(&self, id: NodeId) -> u8 {
+        self.node(id).class
+    }
+
+    /// Moves `id` to `class` (a caller-defined partition, e.g. a memory
+    /// tier): its edge tokens move to `class`'s token count and, if it is
+    /// an eviction candidate, it moves to `class`'s candidate set at its
+    /// stored stamp. O(log candidates); the structure (and every
+    /// [`structure_version`](RadixTree::structure_version)) is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` refers to a removed node.
+    pub fn set_class(&mut self, id: NodeId, class: u8) {
+        let (old, stamp, len) = {
+            let n = self.node(id);
+            (n.class, n.stamp, u64::from(n.edge.len))
+        };
+        if old == class {
+            return;
+        }
+        if self.is_eviction_candidate(id) {
+            self.lru.remove(old, stamp, id);
+            self.lru.insert(class, stamp, id);
+        }
+        let slot = usize::from(class);
+        if self.class_tokens.len() <= slot {
+            self.class_tokens.resize(slot + 1, 0);
+        }
+        self.class_tokens[usize::from(old)] -= len;
+        self.class_tokens[slot] += len;
+        self.node_mut(id).class = class;
     }
 
     /// Number of tokens ever appended to the shared edge store (≥
@@ -800,13 +853,15 @@ impl<D> RadixTree<D> {
     ///
     /// Panics if `id` refers to a removed node.
     pub fn touch(&mut self, id: NodeId, stamp: u64) {
-        let old = self.node(id).stamp;
+        let Node {
+            stamp: old, class, ..
+        } = *self.node(id);
         if old == stamp {
             return;
         }
         if self.is_eviction_candidate(id) {
-            self.lru.remove(old, id);
-            self.lru.insert(stamp, id);
+            self.lru.remove(class, old, id);
+            self.lru.insert(class, stamp, id);
         }
         self.node_mut(id).stamp = stamp;
     }
@@ -821,15 +876,24 @@ impl<D> RadixTree<D> {
         self.node(id).stamp
     }
 
-    /// Eviction candidates ([`is_eviction_candidate`]) in ascending
-    /// `(stamp, id)` order, each with its stamp — the LRU-first victim
-    /// ordering for α = 0 policies, served from the O(log n) recency index
-    /// with no scan. Iterating costs O(candidates), not O(arena slots),
-    /// however much the arena has churned.
+    /// Eviction candidates ([`is_eviction_candidate`]) of every class,
+    /// each with its stamp: each class's set in ascending `(stamp, id)`
+    /// order, classes in ascending order — on a single-class tree, the
+    /// LRU-first victim ordering for α = 0 policies. Served from the
+    /// O(log n) recency index with no scan; iterating costs O(candidates),
+    /// not O(arena slots), however much the arena has churned.
     ///
     /// [`is_eviction_candidate`]: RadixTree::is_eviction_candidate
     pub fn lru_candidates(&self) -> impl Iterator<Item = (u64, NodeId)> + '_ {
         self.lru.iter()
+    }
+
+    /// `class`'s eviction candidates in ascending `(stamp, id)` order, each
+    /// with its stamp: one ordered range of the recency index, so the
+    /// first entry is the class's LRU victim in O(log n) and iterating
+    /// never visits another class's candidates.
+    pub fn lru_candidates_in(&self, class: u8) -> impl Iterator<Item = (u64, NodeId)> + '_ {
+        self.lru.iter_class(class)
     }
 
     /// Pins `id` for an in-flight request: increments the pin count of
@@ -996,33 +1060,20 @@ impl<D> RadixTree<D> {
     ///
     /// The first failing check as a [`CursorFault`].
     pub fn resume(&self, cursor: &MatchCursor, query: &[Token]) -> Result<NodeId, CursorFault> {
-        // check:allow(cursor-deref): this IS the generation check (get_node compares slot generations)
-        let id = cursor.node;
-        let n = self.get_node(id).ok_or(CursorFault::StaleGeneration)?;
-        if n.version != cursor.structure_version || n.depth != cursor.matched_len {
-            return Err(CursorFault::StructureChanged);
-        }
-        let len = cursor.matched_len as usize;
-        if query.len() < len {
-            return Err(CursorFault::QueryTooShort);
-        }
-        let edge = &self.store[n.edge.range()];
-        if query[len - edge.len()..len] != *edge {
-            return Err(CursorFault::EdgeDivergence);
-        }
-        Ok(id)
+        self.resume_parts(cursor, query, &[])
     }
 
     /// [`resume`](RadixTree::resume) against the virtual query
-    /// `head ‖ tail`: identical checks, with the resume-edge compare done
-    /// piecewise across the seam.
+    /// `head ‖ tail`: identical checks, with the resume edge compared as at
+    /// most two slices — the part under `head` and the part under `tail` —
+    /// so a single-slice resume costs one compare.
     fn resume_parts(
         &self,
         cursor: &MatchCursor,
         head: &[Token],
         tail: &[Token],
     ) -> Result<NodeId, CursorFault> {
-        // check:allow(cursor-deref): generation-checked via get_node, like the single-slice resume
+        // check:allow(cursor-deref): this IS the generation check (get_node compares slot generations)
         let id = cursor.node;
         let n = self.get_node(id).ok_or(CursorFault::StaleGeneration)?;
         if n.version != cursor.structure_version || n.depth != cursor.matched_len {
@@ -1034,16 +1085,12 @@ impl<D> RadixTree<D> {
         }
         let edge = &self.store[n.edge.range()];
         let start = len - edge.len();
-        let diverged = edge.iter().enumerate().any(|(i, &e)| {
-            let p = start + i;
-            let q = if p < head.len() {
-                head[p]
-            } else {
-                tail[p - head.len()]
-            };
-            q != e
-        });
-        if diverged {
+        // The seam, clamped into the edge's query span `[start, len)`.
+        let seam = head.len().clamp(start, len);
+        let (under_head, under_tail) = edge.split_at(seam - start);
+        if (!under_head.is_empty() && head[start..seam] != *under_head)
+            || (!under_tail.is_empty() && tail[seam - head.len()..len - head.len()] != *under_tail)
+        {
             return Err(CursorFault::EdgeDivergence);
         }
         Ok(id)
@@ -1122,7 +1169,7 @@ impl<D> RadixTree<D> {
                     }
                 }
                 Some(child) => {
-                    let shared = self.shared_edge_len(child, &query[pos..]);
+                    let shared = self.shared_edge_len_parts(child, query, &[], pos);
                     pos += shared;
                     if shared == self.node(child).edge.len() {
                         path.push(child);
@@ -1210,8 +1257,8 @@ impl<D> RadixTree<D> {
         let child = node.children.first_id();
         let first_tok = self.store[node.edge.off as usize];
 
-        let stamp = node.stamp;
-        self.lru.remove(stamp, id);
+        let (class, stamp) = (node.class, node.stamp);
+        self.lru.remove(class, stamp, id);
         match child {
             None => {
                 let node = self.free(id);
@@ -1223,7 +1270,7 @@ impl<D> RadixTree<D> {
                 }
                 // Losing a child may have dropped the parent to ≤ 1.
                 self.sync_candidate(parent);
-                self.token_count -= u64::from(node.edge.len);
+                self.class_tokens[usize::from(class)] -= u64::from(node.edge.len);
                 Ok(Removed {
                     data: node.data,
                     freed_tokens: u64::from(node.edge.len),
@@ -1243,17 +1290,11 @@ impl<D> RadixTree<D> {
                     }
                 } else {
                     // Non-adjacent: append the joined label to the store.
-                    let off = self.store.len();
-                    debug_assert!(
-                        off + node.edge.len() + child_edge.len() <= u32::MAX as usize,
-                        "token store exceeds u32 addressing"
-                    );
+                    let merged =
+                        EdgeRef::checked(self.store.len(), node.edge.len() + child_edge.len());
                     self.store.extend_from_within(node.edge.range());
                     self.store.extend_from_within(child_edge.range());
-                    EdgeRef {
-                        off: off as u32,
-                        len: node.edge.len + child_edge.len,
-                    }
+                    merged
                 };
                 let c = self.node_mut(child);
                 c.parent = Some(parent);
@@ -1262,6 +1303,10 @@ impl<D> RadixTree<D> {
                 // memoized per-node costs recompute. Its child count — and
                 // the parent's — are unchanged, so candidacies hold.
                 c.version += 1;
+                // The absorbed tokens now belong to the child's class.
+                let child_class = usize::from(c.class);
+                self.class_tokens[usize::from(class)] -= u64::from(node.edge.len);
+                self.class_tokens[child_class] += u64::from(node.edge.len);
                 self.node_mut(parent).children.insert(first_tok, child);
                 Ok(Removed {
                     data: node.data,
@@ -1309,7 +1354,7 @@ impl<D> RadixTree<D> {
     ///
     /// Panics with a description of the first violated invariant.
     pub fn assert_invariants(&self) {
-        let mut seen_tokens = 0u64;
+        let mut seen_tokens = vec![0u64; self.class_tokens.len()];
         let mut seen_nodes = 0usize;
         let mut seen_candidates = 0usize;
         let mut seen_pinned = 0usize;
@@ -1329,16 +1374,22 @@ impl<D> RadixTree<D> {
                     n.depth,
                     "{id}: depth mismatch"
                 );
-                seen_tokens += u64::from(n.edge.len);
+                assert!(
+                    usize::from(n.class) < seen_tokens.len(),
+                    "{id}: class {} has no token count",
+                    n.class
+                );
+                seen_tokens[usize::from(n.class)] += u64::from(n.edge.len);
                 let should_be_candidate = n.children.len() <= 1 && n.pin_count == 0;
                 assert_eq!(
-                    self.lru.contains(n.stamp, id),
+                    self.lru.contains(n.class, n.stamp, id),
                     should_be_candidate,
-                    "{id}: candidate-set membership drift or stale stamp \
-                     (child_count = {}, pin_count = {}, stamp = {})",
+                    "{id}: candidate-set membership drift, stale stamp or stale class \
+                     (child_count = {}, pin_count = {}, stamp = {}, class = {})",
                     n.children.len(),
                     n.pin_count,
-                    n.stamp
+                    n.stamp,
+                    n.class
                 );
                 seen_candidates += usize::from(should_be_candidate);
                 seen_pinned += usize::from(n.pin_count > 0);
@@ -1373,7 +1424,10 @@ impl<D> RadixTree<D> {
             }
         }
         assert_eq!(seen_nodes, self.node_count, "node_count drift");
-        assert_eq!(seen_tokens, self.token_count, "token_count drift");
+        assert_eq!(
+            seen_tokens, self.class_tokens,
+            "per-class token count drift"
+        );
         // Every live member was found above, so any surplus entry is dead,
         // stale, a duplicate, or the root.
         assert_eq!(
@@ -1676,6 +1730,67 @@ mod tests {
         t.remove(a.end_node).unwrap();
         t.remove(b.new_leaf.unwrap()).unwrap();
         assert!(t.lru_candidates().any(|(_, id)| id == branch));
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn classes_partition_candidates_and_tokens() {
+        let mut t = tree();
+        let a = t.insert(&[1, 2, 3, 4]).end_node;
+        let b = t.insert(&[5, 6]).end_node;
+        t.touch(a, 7);
+        t.touch(b, 3);
+        t.set_class(a, 1);
+        assert_eq!(t.class(a), 1);
+        assert_eq!((t.class_token_count(0), t.class_token_count(1)), (2, 4));
+        assert_eq!(t.token_count(), 6);
+        assert_eq!(t.lru_candidates_in(0).collect::<Vec<_>>(), vec![(3, b)]);
+        assert_eq!(t.lru_candidates_in(1).collect::<Vec<_>>(), vec![(7, a)]);
+        assert_eq!(t.lru_candidates_in(2).count(), 0);
+        // The all-class walk is class-major, not stamp-major.
+        assert_eq!(t.lru_candidates().collect::<Vec<_>>(), vec![(3, b), (7, a)]);
+        t.set_class(b, 1);
+        assert_eq!(
+            t.lru_candidates_in(1).collect::<Vec<_>>(),
+            vec![(3, b), (7, a)]
+        );
+        assert_eq!((t.class_token_count(0), t.class_token_count(1)), (0, 6));
+        t.remove(b).unwrap();
+        assert_eq!(t.class_token_count(1), 4);
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn split_inherits_class_and_merge_rehomes_the_absorbed_edge() {
+        let mut t = tree();
+        let leaf = t.insert(&[1, 2, 3, 4]).end_node;
+        t.set_class(leaf, 1);
+        // A split moves head tokens onto a same-class intermediate.
+        let mid = t.insert(&[1, 2]).split_node.expect("split");
+        assert_eq!(t.class(mid), 1);
+        assert_eq!(t.class_token_count(1), 4);
+        assert!(t.lru_candidates_in(1).any(|(_, id)| id == mid));
+        t.assert_invariants();
+        // Move the child back: removing the class-1 intermediate hands its
+        // edge to the class-0 child, so its tokens change class too.
+        t.set_class(leaf, 0);
+        assert_eq!((t.class_token_count(0), t.class_token_count(1)), (2, 2));
+        let removed = t.remove(mid).unwrap();
+        assert_eq!(removed.merged_into, Some(leaf));
+        assert_eq!((t.class_token_count(0), t.class_token_count(1)), (4, 0));
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn set_class_on_a_pinned_node_keeps_it_out_of_every_set() {
+        let mut t = tree();
+        let leaf = t.insert(&[1, 2, 3]).end_node;
+        t.pin(leaf);
+        t.set_class(leaf, 1);
+        assert_eq!(t.eviction_candidate_count(), 0);
+        t.unpin(leaf);
+        assert_eq!(t.lru_candidates_in(1).collect::<Vec<_>>(), vec![(0, leaf)]);
+        assert_eq!(t.lru_candidates_in(0).count(), 0);
         t.assert_invariants();
     }
 

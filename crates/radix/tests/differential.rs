@@ -295,6 +295,7 @@ impl Pair {
                 self.plain.is_pinned(id)
             );
             check!(at("stamp"), self.hinted.stamp(id), self.plain.stamp(id));
+            check!(at("class"), self.hinted.class(id), self.plain.class(id));
             check!(at("data"), self.hinted.data(id), self.plain.data(id));
             check!(
                 at("children"),

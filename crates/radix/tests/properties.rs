@@ -37,6 +37,9 @@ fn seq_strategy() -> impl Strategy<Value = Vec<Token>> {
     prop::collection::vec(0u32..4, 1..24)
 }
 
+/// Classes the candidate-index property spreads nodes across.
+const CLASSES: u8 = 3;
+
 fn seqs_strategy() -> impl Strategy<Value = Vec<Vec<Token>>> {
     prop::collection::vec(seq_strategy(), 1..24)
 }
@@ -136,23 +139,38 @@ proptest! {
     #[test]
     fn candidate_index_matches_scan_recompute(
         seqs in seqs_strategy(),
-        ops in prop::collection::vec((0u32..6, any::<prop::sample::Index>()), 1..64),
+        ops in prop::collection::vec((0u32..7, any::<prop::sample::Index>(), 0u8..CLASSES), 1..64),
     ) {
         // Interleave inserts, candidate removals, pins, unpins, touches,
-        // and pin clears, and after every op assert the recency index is
-        // exactly the from-scratch scan of live non-root nodes with ≤ 1
-        // child and no pin, in ascending (stamp, id) order — the index's
-        // membership and its size bound.
+        // pin clears and class moves, and after every op assert, for each
+        // class, that its candidate set is exactly the from-scratch scan
+        // of live non-root class members with ≤ 1 child and no pin, in
+        // ascending (stamp, id) order — the set's membership and its size
+        // bound — and that its token count is the scan's edge-length sum.
         let mut tree: RadixTree<()> = RadixTree::new();
         let check = |tree: &RadixTree<()>| {
+            let mut all: Vec<(u8, u64, NodeId)> = Vec::new();
+            for class in 0..CLASSES {
+                let indexed: Vec<(u64, NodeId)> = tree.lru_candidates_in(class).collect();
+                let mut scanned: Vec<(u64, NodeId)> = tree
+                    .node_ids()
+                    .filter(|&id| tree.class(id) == class)
+                    .filter(|&id| tree.child_count(id) <= 1 && !tree.is_pinned(id))
+                    .map(|id| (tree.stamp(id), id))
+                    .collect();
+                scanned.sort_unstable();
+                assert_eq!(indexed, scanned, "class {class}'s set drifted from scan recompute");
+                all.extend(scanned.iter().map(|&(stamp, id)| (class, stamp, id)));
+                let tokens: u64 = tree
+                    .node_ids()
+                    .filter(|&id| tree.class(id) == class)
+                    .map(|id| tree.edge_len(id))
+                    .sum();
+                assert_eq!(tree.class_token_count(class), tokens, "class {class}'s token count drifted");
+            }
             let indexed: Vec<(u64, NodeId)> = tree.lru_candidates().collect();
-            let mut scanned: Vec<(u64, NodeId)> = tree
-                .node_ids()
-                .filter(|&id| tree.child_count(id) <= 1 && !tree.is_pinned(id))
-                .map(|id| (tree.stamp(id), id))
-                .collect();
-            scanned.sort_unstable();
-            assert_eq!(indexed, scanned, "recency index drifted from scan recompute");
+            let scanned: Vec<(u64, NodeId)> = all.iter().map(|&(_, stamp, id)| (stamp, id)).collect();
+            assert_eq!(indexed, scanned, "the all-class walk is not class-major");
             assert_eq!(tree.eviction_candidate_count(), scanned.len());
             let pinned = tree.node_ids().filter(|&id| tree.is_pinned(id)).count();
             assert_eq!(tree.pinned_count(), pinned);
@@ -160,7 +178,7 @@ proptest! {
         let mut next_seq = 0usize;
         // Pinned ids stay live: pinned nodes are never removed.
         let mut held: Vec<NodeId> = Vec::new();
-        for (op, pick) in ops {
+        for (op, pick, class) in ops {
             let live: Vec<NodeId> = tree.node_ids().collect();
             let candidates: Vec<NodeId> = tree.lru_candidates().map(|(_, id)| id).collect();
             match op {
@@ -185,6 +203,11 @@ proptest! {
                 5 => {
                     tree.clear_pins();
                     held.clear();
+                }
+                // Any live node, candidate or not, pinned or not.
+                6 if !live.is_empty() => {
+                    let id = live[pick.index(live.len())];
+                    tree.set_class(id, class);
                 }
                 _ => {
                     tree.insert(&seqs[next_seq % seqs.len()]);
